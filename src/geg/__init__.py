@@ -20,7 +20,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedModulusError,
 )
-from .field import DEFAULT_PRIME, Fp, RandomSource
+from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp, companion_matrix
 from .polyfield import (
     PolyFp,
@@ -30,7 +30,15 @@ from .polyfield import (
     is_irreducible,
     rand_irreducible,
 )
-from .protocol import CipherBlock, Entity, Phase, extract_exponents, setup_shared
+from .protocol import (
+    CipherBlock,
+    Entity,
+    Phase,
+    extract_exponents,
+    handshake,
+    setup_shared,
+    start_session,
+)
 
 __version__ = "0.1.0"
 
@@ -42,7 +50,6 @@ __all__ = [
     "DEFAULT_PRIME",
     "DiagonalSpec",
     "Entity",
-    "Fp",
     "FrameLengthError",
     "FrameMagicError",
     "FrameTypeError",
@@ -62,7 +69,9 @@ __all__ = [
     "count_monic_nontrivial",
     "element_order",
     "extract_exponents",
+    "handshake",
     "is_irreducible",
     "rand_irreducible",
     "setup_shared",
+    "start_session",
 ]

@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import analysis, wire
+from . import wire
 from .commuting import DiagonalSpec
 from .errors import (
     CodecError,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .field import RandomSource, validate_prime
 from .linalg import MatrixFp
-from .protocol import Entity, setup_shared
+from .protocol import Entity, handshake, setup_shared, start_session
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,6 +33,7 @@ EXIT_CODEC = 4
 EXIT_PROTOCOL = 5
 
 STATE_TAG = 0x10
+SESSION_OPEN_PHASE = 0x03  # the only persistable phase
 PRIVATE_MARKER = 0x90
 _ROLE_BYTES = {"initiator": 0x01, "responder": 0x02}
 _ROLE_NAMES = {v: k for k, v in _ROLE_BYTES.items()}
@@ -67,7 +68,7 @@ def save_state(path: Path, entity: Entity) -> None:
     blob.append(entity.d)
     blob += struct.pack(">H", entity.p)
     blob.append(_ROLE_BYTES.get(entity.role, 0x01))
-    blob.append(0x03)  # phase: session-open, the only persistable phase
+    blob.append(SESSION_OPEN_PHASE)
     blob.append(m)
     blob.append(n)
     blob += wire.matrix_to_bytes(entity.basis)
@@ -88,7 +89,11 @@ def load_state(path: Path) -> Entity:
     d = blob[5]
     (p,) = struct.unpack(">H", blob[6:8])
     validate_prime(p)
-    role = _ROLE_NAMES.get(blob[8], "initiator")
+    role = _ROLE_NAMES.get(blob[8])
+    if role is None:
+        raise FrameValueError(f"{path}: unknown role byte 0x{blob[8]:02x}")
+    if blob[9] != SESSION_OPEN_PHASE:
+        raise FrameValueError(f"{path}: phase byte 0x{blob[9]:02x} is not session-open")
     m, n = blob[10], blob[11]
     sq = d * d
     expect = 12 + 4 * sq + 1 + d
@@ -107,9 +112,13 @@ def load_state(path: Path) -> Entity:
     except ValueError as exc:
         raise FrameValueError(f"{path}: invalid private section: {exc}") from exc
     basis, generator, session_key, peer_token = mats
-    return Entity.restore(
-        role, basis, generator, session_key, (m, n), eigenvalues, peer_token
-    )
+    entity = Entity.restore(role, basis, generator, session_key, eigenvalues, peer_token)
+    for name, stored, derived in zip("mn", (m, n), entity.exponents):
+        if stored != derived:
+            raise FrameValueError(
+                f"{path}: exponent {name}={stored} does not match {derived} from the session key"
+            )
+    return entity
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -118,88 +127,72 @@ def load_state(path: Path) -> Entity:
 def run_demo(args) -> int:
     rng = _rng_from(args.seed)
     d = args.dim
-    out = sys.stdout
 
     def show(title: str, m: MatrixFp) -> None:
-        print(title, file=out)
-        print(_format_matrix(m), file=out)
+        print(title)
+        print(_format_matrix(m))
 
-    print(f"two-party demo over GL({d}, F_251)", file=out)
-    print(f"randomness: {rng.mode}" + (f", seed {args.seed}" if args.seed else ""), file=out)
+    print(f"two-party demo over GL({d}, F_251)")
+    print(f"randomness: {rng.mode}" + (f", seed {args.seed}" if args.seed else ""))
 
     basis, generator = setup_shared(rng, d)
-    print("\n-- setup: either party samples the public pair and sends it --", file=out)
+    print("\n-- setup: either party samples the public pair and sends it --")
     show("shared basis matrix P (public):", basis)
     show("shared generator matrix G (public):", generator)
 
-    alice = Entity("initiator", basis, generator)
-    bob = Entity("responder", basis, generator)
+    alice, bob = handshake(basis, generator, rng)
+    token_a, token_b = bob.peer_token, alice.peer_token
 
-    token_a = alice.keygen(rng)
     k1, k2 = alice.initial_exponents
-    print("\n-- alice samples private material --", file=out)
-    print(f"alice initial exponents (private): k1={k1}, k2={k2}", file=out)
-    print(f"alice eigenvalues (private): {list(alice.eigenvalues.values)}", file=out)
+    print("\n-- alice samples private material --")
+    print(f"alice initial exponents (private): k1={k1}, k2={k2}")
+    print(f"alice eigenvalues (private): {list(alice.eigenvalues.values)}")
     show("alice token A' = A^k1 G A^k2 (sent):", token_a)
 
-    token_b = bob.keygen(rng)
     r1, r2 = bob.initial_exponents
-    print("\n-- bob samples private material --", file=out)
-    print(f"bob initial exponents (private): r1={r1}, r2={r2}", file=out)
-    print(f"bob eigenvalues (private): {list(bob.eigenvalues.values)}", file=out)
+    print("\n-- bob samples private material --")
+    print(f"bob initial exponents (private): r1={r1}, r2={r2}")
+    print(f"bob eigenvalues (private): {list(bob.eigenvalues.values)}")
     show("bob token B' = B^r1 G B^r2 (sent):", token_b)
 
-    alice.derive_session_key(token_b)
-    bob.derive_session_key(token_a)
     agreed = alice.session_key == bob.session_key and alice.exponents == bob.exponents
-    print("\n-- both derive the first common key --", file=out)
+    print("\n-- both derive the first common key --")
     show("common session key K:", alice.session_key)
     m, n = alice.exponents
-    print(f"exponent pair from K: m={m}, n={n}, m·n={m * n % alice.p}", file=out)
-    print(f"bilateral agreement: {'yes' if agreed else 'NO'}", file=out)
+    print(f"exponent pair from K: m={m}, n={n}, m·n={m * n % alice.p}")
+    print(f"bilateral agreement: {'yes' if agreed else 'NO'}")
 
-    sess_a = alice.open_session()
-    sess_b = bob.ack_session(sess_a)
-    alice.install_peer_token(sess_b)
+    sess_a, sess_b = start_session(alice, bob)
     m, n = alice.exponents
     consistent = alice.shared_parameters() == bob.shared_parameters()
-    print("\n-- alice opens a cipher session; bob acknowledges --", file=out)
-    print("all of (K, m, n, P, G) re-derived from the shared secret", file=out)
+    print("\n-- alice opens a cipher session; bob acknowledges --")
+    print("all of (K, m, n, P, G) re-derived from the shared secret")
     show("updated session key K:", alice.session_key)
-    print(f"updated exponent pair: m={m}, n={n}, m·n={m * n % alice.p}", file=out)
+    print(f"updated exponent pair: m={m}, n={n}, m·n={m * n % alice.p}")
     show("updated auxiliary basis P:", alice.basis)
     show("updated auxiliary generator G:", alice.generator)
     show("alice session token (sent):", sess_a)
     show("bob session token (sent):", sess_b)
-    print(f"bilateral consistency after update: {'yes' if consistent else 'NO'}", file=out)
+    print(f"bilateral consistency after update: {'yes' if consistent else 'NO'}")
 
     plain = MatrixFp.random(rng, d, alice.p)
     block = alice.encrypt_block(plain, rng)
     recovered = bob.decrypt_block(block)
-    print("\n-- alice enciphers one message block for bob --", file=out)
+    print("\n-- alice enciphers one message block for bob --")
     show("message block H:", plain)
     show("cipher part y1 = J^m G J^n:", block.y1)
     show("cipher part y2 = H J^m B' J^n:", block.y2)
     show("bob recovers y2 (B^m y1 B^n)^-1:", recovered)
 
     success = recovered == plain and agreed and consistent
-    print(f"\nround-trip: {'OK' if success else 'FAILED'}", file=out)
+    print(f"\nround-trip: {'OK' if success else 'FAILED'}")
     return EXIT_OK if success else EXIT_PROTOCOL
 
 
 def run_keyexchange(args) -> int:
     rng = _rng_from(args.seed)
-    d = args.dim
-    basis, generator = setup_shared(rng, d)
-    alice = Entity("initiator", basis, generator)
-    bob = Entity("responder", basis, generator)
-    token_a = alice.keygen(rng)
-    token_b = bob.keygen(rng)
-    alice.derive_session_key(token_b)
-    bob.derive_session_key(token_a)
-    sess_a = alice.open_session()
-    sess_b = bob.ack_session(sess_a)
-    alice.install_peer_token(sess_b)
+    alice, bob = handshake(*setup_shared(rng, args.dim), rng)
+    start_session(alice, bob)
 
     prefix = Path(args.state)
     path_a = prefix.with_name(prefix.name + ".initiator")
@@ -253,20 +246,12 @@ def run_decrypt(args) -> int:
 
 
 def _bench_once(rng: RandomSource, d: int) -> dict[str, float]:
-    timings = {}
     t0 = time.perf_counter()
     basis, generator = setup_shared(rng, d)
     t1 = time.perf_counter()
-    alice = Entity("initiator", basis, generator)
-    bob = Entity("responder", basis, generator)
-    token_a = alice.keygen(rng)
-    token_b = bob.keygen(rng)
-    alice.derive_session_key(token_b)
-    bob.derive_session_key(token_a)
+    alice, bob = handshake(basis, generator, rng)
     t2 = time.perf_counter()
-    sess_a = alice.open_session()
-    sess_b = bob.ack_session(sess_a)
-    alice.install_peer_token(sess_b)
+    start_session(alice, bob)
     t3 = time.perf_counter()
     plain = MatrixFp.random(rng, d, alice.p)
     block = alice.encrypt_block(plain, rng)
@@ -274,11 +259,12 @@ def _bench_once(rng: RandomSource, d: int) -> dict[str, float]:
     t4 = time.perf_counter()
     if recovered != plain:
         raise GegError("benchmark round-trip failed")
-    timings["setup"] = (t1 - t0) * 1e3
-    timings["exchange"] = (t2 - t1) * 1e3
-    timings["update"] = (t3 - t2) * 1e3
-    timings["cipher"] = (t4 - t3) * 1e3
-    return timings
+    return {
+        "setup": (t1 - t0) * 1e3,
+        "exchange": (t2 - t1) * 1e3,
+        "update": (t3 - t2) * 1e3,
+        "cipher": (t4 - t3) * 1e3,
+    }
 
 
 def run_bench(args) -> int:
@@ -322,6 +308,8 @@ def run_bench(args) -> int:
 
 
 def run_analyze(args) -> int:
+    from . import analysis  # only this subcommand needs it; keeps CLI start-up lean
+
     d, p = args.dim, 251
     gl = analysis.order_gl(d, p)
     counts = analysis.ambient_counts(d, p)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import GegError
 from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp
 
@@ -61,7 +62,8 @@ class CommutingContext:
     def __init__(self, basis: MatrixFp):
         self.basis = basis
         self.basis_inv = basis.inv()  # raises SingularMatrixError if unusable
-        assert self.basis @ self.basis_inv == MatrixFp.identity(basis.d, basis.p)
+        if self.basis @ self.basis_inv != MatrixFp.identity(basis.d, basis.p):
+            raise GegError("cached basis inverse does not invert the basis")
 
     @classmethod
     def random(cls, rng: RandomSource, d: int, p: int = DEFAULT_PRIME) -> "CommutingContext":

@@ -9,7 +9,7 @@ default needs 251**8 - 1).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 TRIAL_LIMIT = 1_000_000
 
@@ -113,19 +113,3 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("factorize expects n >= 1")
     return dict(_factorize(n))
 
-
-def divisors_from_factors(factors: dict[int, int]) -> list[int]:
-    out = [1]
-    for q, e in factors.items():
-        out = [d * q**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def smallest_factor(n: int) -> int:
-    """Least prime factor, for tiny-n helper use."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    for f in range(2, isqrt(n) + 1):
-        if n % f == 0:
-            return f
-    return n

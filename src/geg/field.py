@@ -1,4 +1,4 @@
-"""Prime-field scalar arithmetic and the seedable randomness source.
+"""Prime-field helpers and the seedable randomness source.
 
 The default modulus is 251, the largest prime that fits in one byte: every
 canonical residue is a single byte, which keeps the matrix layer and the wire
@@ -11,32 +11,17 @@ from __future__ import annotations
 import random
 import secrets
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
+
+from .factorint import is_probable_prime
 
 DEFAULT_PRIME = 251
 
 
-@lru_cache(maxsize=None)
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (intended for small n)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f <= isqrt(n):
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
+@lru_cache(maxsize=None)  # runs on every MatrixFp construction
 def validate_prime(p: int) -> int:
-    if not is_prime(p):
+    if not is_probable_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     return p
 
@@ -55,60 +40,6 @@ def inv_mod(a: int, p: int) -> int:
     if lo != 1:
         raise ZeroDivisionError(f"{a} has no inverse mod {p}")
     return s_lo % p
-
-
-class Fp:
-    """An element of GF(p), kept as its canonical residue in [0, p-1]."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int = DEFAULT_PRIME):
-        validate_prime(p)
-        self.p = p
-        self.value = int(value) % p
-
-    def _check(self, other: "Fp") -> None:
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-
-    def __add__(self, other: "Fp") -> "Fp":
-        self._check(other)
-        return Fp(self.value + other.value, self.p)
-
-    def __sub__(self, other: "Fp") -> "Fp":
-        self._check(other)
-        return Fp(self.value - other.value, self.p)
-
-    def __mul__(self, other: "Fp") -> "Fp":
-        self._check(other)
-        return Fp(self.value * other.value, self.p)
-
-    def __neg__(self) -> "Fp":
-        return Fp(-self.value, self.p)
-
-    def __pow__(self, e: int) -> "Fp":
-        if e < 0:
-            raise ValueError("negative exponent; use inv() first")
-        return Fp(pow(self.value, e, self.p), self.p)
-
-    def inv(self) -> "Fp":
-        return Fp(inv_mod(self.value, self.p), self.p)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Fp):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.p))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Fp({self.value}, p={self.p})"
 
 
 class RandomSource:

@@ -120,16 +120,6 @@ class MatrixFp:
         prod = (self._a.astype(np.int64) @ other._a.astype(np.int64)) % self.p
         return MatrixFp._wrap(prod, self.p)
 
-    def __add__(self, other: "MatrixFp") -> "MatrixFp":
-        self._compat(other)
-        s = (self._a.astype(np.int64) + other._a.astype(np.int64)) % self.p
-        return MatrixFp._wrap(s, self.p)
-
-    def __sub__(self, other: "MatrixFp") -> "MatrixFp":
-        self._compat(other)
-        s = (self._a.astype(np.int64) - other._a.astype(np.int64)) % self.p
-        return MatrixFp._wrap(s, self.p)
-
     def pow(self, e: int) -> "MatrixFp":
         """Square-and-multiply power; e == 0 gives the identity."""
         if e < 0:
@@ -148,9 +138,6 @@ class MatrixFp:
         return MatrixFp._wrap(result, p)
 
     __pow__ = pow
-
-    def trace(self) -> int:
-        return int(self._a.astype(np.int64).trace() % self.p)
 
     def det(self) -> int:
         """Determinant mod p by elimination with first-nonzero pivoting."""

@@ -74,6 +74,28 @@ def setup_shared(
     return basis, generator
 
 
+def handshake(basis: MatrixFp, generator: MatrixFp, rng: RandomSource) -> tuple[Entity, Entity]:
+    """Setup exchange over a public pair: keygen on both sides (initiator
+    first), then the first key.  Returns (initiator, responder), both keyed;
+    each holds the other's setup token as ``peer_token``."""
+    initiator = Entity("initiator", basis, generator)
+    responder = Entity("responder", basis, generator)
+    token_i = initiator.keygen(rng)
+    token_r = responder.keygen(rng)
+    initiator.derive_session_key(token_r)
+    responder.derive_session_key(token_i)
+    return initiator, responder
+
+
+def start_session(opener: Entity, acker: Entity) -> tuple[MatrixFp, MatrixFp]:
+    """Open a cipher session, acknowledge it and install the answer;
+    returns the two session tokens that cross the wire, (open, ack)."""
+    open_token = opener.open_session()
+    ack_token = acker.ack_session(open_token)
+    opener.install_peer_token(ack_token)
+    return open_token, ack_token
+
+
 class Entity:
     """One party's protocol state; single-owner, mutated by the steps below."""
 
@@ -152,26 +174,26 @@ class Entity:
             raise ProtocolError("peer token is singular")
         k1, k2 = self._initial_exponents
         a = self._private_element
-        assert a is not None
-        self.session_key = a.pow(k1) @ peer_token @ a.pow(k2)
-        self.exponents = extract_exponents(self.session_key)
+        self._set_key(a.pow(k1) @ peer_token @ a.pow(k2))
         self.peer_token = peer_token
         self.phase = Phase.KEYED
+
+    def _set_key(self, key: MatrixFp) -> None:
+        # the exponent pair is always the one extracted from the current key
+        self.session_key = key
+        self.exponents = extract_exponents(key)
 
     # -- recursive session updates --------------------------------------------
 
     def _refresh_session(self) -> MatrixFp:
-        assert self.session_key is not None and self.exponents is not None
-        assert self._eigenvalues is not None
         m, n = self.exponents
         key = self.session_key.pow(m * n % self.p)  # m, n nonzero, so never K**0
-        m2, n2 = extract_exponents(key)
+        self._set_key(key)
+        m2, n2 = self.exponents
         k_m = key.pow(m2)
         k_n = key.pow(n2)
         self.context = CommutingContext(k_m @ self.basis @ k_n)
         self.generator = k_m @ self.generator @ k_n
-        self.session_key = key
-        self.exponents = (m2, n2)
         self._private_element = self.context.conjugate(self._eigenvalues)
         self.peer_token = None  # previous session's token is stale now
         a = self._private_element
@@ -241,7 +263,6 @@ class Entity:
             raise ProtocolError("decrypt requires an open session")
         m, n = self.exponents  # type: ignore[misc]
         b = self._private_element
-        assert b is not None
         inner = b.pow(m) @ block.y1 @ b.pow(n)
         try:
             return block.y2 @ inner.inv()
@@ -257,19 +278,15 @@ class Entity:
         basis: MatrixFp,
         generator: MatrixFp,
         session_key: MatrixFp,
-        exponents: tuple[int, int],
         eigenvalues: DiagonalSpec,
         peer_token: MatrixFp | None = None,
     ) -> "Entity":
-        """Rebuild a session-open entity from persisted fields."""
+        """Rebuild a session-open entity from persisted fields; the exponent
+        pair is re-derived from the session key."""
         entity = cls(role, basis, generator)
         if session_key.det() == 0:
             raise ProtocolError("persisted session key is singular")
-        m, n = int(exponents[0]), int(exponents[1])
-        if not (1 <= m < entity.p and 1 <= n < entity.p):
-            raise ProtocolError(f"persisted exponents ({m}, {n}) outside [1, p-1]")
-        entity.session_key = session_key
-        entity.exponents = (m, n)
+        entity._set_key(session_key)
         entity._eigenvalues = eigenvalues
         entity._private_element = entity.context.conjugate(eigenvalues)
         if peer_token is not None:

@@ -39,7 +39,7 @@ from geg.polyfield import (
     rand_irreducible,
     rand_irreducible_counted,
 )
-from geg.protocol import Entity, extract_exponents, setup_shared
+from geg.protocol import extract_exponents, handshake, setup_shared, start_session
 
 from oracles import (
     all_monic_polys,
@@ -58,20 +58,7 @@ def report(number: str, name: str, ok: bool, detail: str = "") -> None:
 
 
 def full_exchange(rng, d=8):
-    basis, generator = setup_shared(rng, d)
-    alice = Entity("initiator", basis, generator)
-    bob = Entity("responder", basis, generator)
-    token_a = alice.keygen(rng)
-    token_b = bob.keygen(rng)
-    alice.derive_session_key(token_b)
-    bob.derive_session_key(token_a)
-    return alice, bob
-
-
-def open_session(alice, bob):
-    token_a = alice.open_session()
-    token_b = bob.ack_session(token_a)
-    alice.install_peer_token(token_b)
+    return handshake(*setup_shared(rng, d), rng)
 
 
 def test_criterion_01_key_agreement():
@@ -92,7 +79,7 @@ def test_criterion_02_recursive_session_consistency():
     for _ in range(100):
         alice, bob = full_exchange(rng)
         for _ in range(10):
-            open_session(alice, bob)
+            start_session(alice, bob)
             key_a, exps_a, basis_a, gen_a = alice.shared_parameters()
             key_b, exps_b, basis_b, gen_b = bob.shared_parameters()
             assert key_a == key_b
@@ -106,7 +93,7 @@ def test_criterion_02_recursive_session_consistency():
 def test_criterion_03_cipher_round_trip():
     rng = RandomSource.deterministic(b"criterion-03")
     alice, bob = full_exchange(rng, d=8)
-    open_session(alice, bob)
+    start_session(alice, bob)
     singular_seen = 0
     for i in range(1000):
         if i % 10 == 0:
@@ -121,7 +108,7 @@ def test_criterion_03_cipher_round_trip():
     assert singular_seen >= 100
 
     alice16, bob16 = full_exchange(rng, d=16)
-    open_session(alice16, bob16)
+    start_session(alice16, bob16)
     for _ in range(100):
         plain = MatrixFp.random(rng, 16, 251)
         assert bob16.decrypt_block(alice16.encrypt_block(plain, rng)) == plain
@@ -132,7 +119,7 @@ def test_criterion_03_file_pipeline():
     rng = RandomSource.deterministic(b"criterion-03-files")
     rnd = random.Random(303)
     alice, bob = full_exchange(rng)
-    open_session(alice, bob)
+    start_session(alice, bob)
     for length in (0, 1, 55, 56, 57, 4096, 1_000_000):
         data = rnd.randbytes(length)
         blocks = wire.encode_plaintext(data, 8)
@@ -334,7 +321,7 @@ def test_criterion_14_performance_sanity():
     for _ in range(5):
         alice, bob = full_exchange(rng)
         start = time.perf_counter()
-        open_session(alice, bob)
+        start_session(alice, bob)
         plain = MatrixFp.random(rng, 8, 251)
         block = alice.encrypt_block(plain, rng)
         recovered = bob.decrypt_block(block)

@@ -18,7 +18,7 @@ from geg.analysis import (
 from geg.commuting import CommutingContext
 from geg.field import RandomSource
 from geg.linalg import MatrixFp, all_matrices
-from geg.protocol import Entity, setup_shared
+from geg.protocol import handshake, setup_shared
 
 
 class TestCardinalities:
@@ -122,13 +122,7 @@ class TestGsdp:
     def test_transcript_instance_verifies(self):
         for seed in range(10):
             rng = RandomSource.deterministic(seed)
-            basis, generator = setup_shared(rng, 8)
-            alice = Entity("initiator", basis, generator)
-            bob = Entity("responder", basis, generator)
-            ta = alice.keygen(rng)
-            tb = bob.keygen(rng)
-            alice.derive_session_key(tb)
-            bob.derive_session_key(ta)
+            alice, bob = handshake(*setup_shared(rng, 8), rng)
             inst = instance_from_exchange(alice)
             assert gsdp_verify(inst, alice.private_element)
             inst_b = instance_from_exchange(bob)

@@ -140,19 +140,11 @@ class TestStatePersistence:
         from geg.cli import load_state, save_state
         from geg.field import RandomSource
         from geg.linalg import MatrixFp
-        from geg.protocol import Entity, setup_shared
+        from geg.protocol import handshake, setup_shared, start_session
 
         rng = RandomSource.deterministic(b"persist2")
-        basis, generator = setup_shared(rng, 8)
-        alice = Entity("initiator", basis, generator)
-        bob = Entity("responder", basis, generator)
-        ta = alice.keygen(rng)
-        tb = bob.keygen(rng)
-        alice.derive_session_key(tb)
-        bob.derive_session_key(ta)
-        sa = alice.open_session()
-        sb = bob.ack_session(sa)
-        alice.install_peer_token(sb)
+        alice, bob = handshake(*setup_shared(rng, 8), rng)
+        start_session(alice, bob)
 
         path = tmp_path / "alice.state"
         save_state(path, alice)
@@ -168,19 +160,40 @@ class TestStatePersistence:
         from geg.cli import save_state
         from geg.errors import GegError
         from geg.field import RandomSource
-        from geg.protocol import Entity, setup_shared
+        from geg.protocol import handshake, setup_shared
 
         rng = RandomSource.deterministic(b"persist3")
-        basis, generator = setup_shared(rng, 8)
-        alice = Entity("initiator", basis, generator)
-        bob = Entity("responder", basis, generator)
-        ta = alice.keygen(rng)
-        tb = bob.keygen(rng)
-        alice.derive_session_key(tb)
-        bob.derive_session_key(ta)
+        alice, _ = handshake(*setup_shared(rng, 8), rng)
         alice.open_session()  # opener before receiving the ack: no peer token
         with pytest.raises(GegError):
             save_state(tmp_path / "x", alice)
+
+    # state header: magic(4) tag d p(2) role phase m n
+    TAMPER = {"role": (8, "role byte"), "phase": (9, "phase byte"),
+              "m": (10, "exponent m="), "n": (11, "exponent n=")}
+
+    @pytest.mark.parametrize("side", ["initiator", "responder"])
+    @pytest.mark.parametrize("field", [None, "role", "phase", "m", "n"])
+    def test_tampered_header_byte_rejected(self, capsys, tmp_path, side, field):
+        prefix = tmp_path / "kx"
+        assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", "beef"])[0] == 0
+        state = prefix.with_name(f"kx.{side}")
+        blob = bytearray(state.read_bytes())
+        if field is not None:
+            offset, _ = self.TAMPER[field]
+            # role 0x7f and phase 0x55 are undefined; m, n move to another nonzero value
+            blob[offset] = {"role": 0x7F, "phase": 0x55}.get(field, blob[offset] % 250 + 1)
+            state.write_bytes(bytes(blob))
+        src = tmp_path / "p.bin"
+        src.write_bytes(b"hello")
+        code, _, err = run(
+            capsys, ["encrypt", "--state", str(state), "--in", str(src), "--out", str(tmp_path / "c")]
+        )
+        if field is None:
+            assert code == cli.EXIT_OK
+        else:
+            assert code == cli.EXIT_CODEC
+            assert self.TAMPER[field][1] in err
 
 
 class TestBenchAndAnalyze:

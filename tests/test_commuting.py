@@ -1,7 +1,7 @@
 import pytest
 
 from geg.commuting import CommutingContext, DiagonalSpec, commutes
-from geg.errors import SingularMatrixError
+from geg.errors import GegError, SingularMatrixError
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
 
@@ -37,6 +37,13 @@ class TestContext:
         ctx = CommutingContext.random(rng, 8, 251)
         assert ctx.basis @ ctx.basis_inv == MatrixFp.identity(8, 251)
 
+    def test_wrong_inverse_raises_without_assert(self, monkeypatch):
+        # an explicit check, so it still runs under `python -O`
+        basis = MatrixFp([[1, 1], [0, 1]], 5)
+        monkeypatch.setattr(MatrixFp, "inv", lambda self: self)
+        with pytest.raises(GegError, match="inverse"):
+            CommutingContext(basis)
+
     def test_conjugate_preserves_det_and_trace(self):
         rng = RandomSource.deterministic(2)
         ctx = CommutingContext.random(rng, 8, 251)
@@ -47,7 +54,7 @@ class TestContext:
             for v in spec.values:
                 det = det * v % 251
             assert m.det() == det
-            assert m.trace() == sum(spec.values) % 251
+            assert int(m.main_diagonal().sum()) % 251 == sum(spec.values) % 251
 
     def test_conjugate_dimension_mismatch(self):
         rng = RandomSource.deterministic(3)

@@ -3,46 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from geg.field import DEFAULT_PRIME, Fp, RandomSource, inv_mod, is_prime
+from geg.field import DEFAULT_PRIME, RandomSource, inv_mod, validate_prime
 
 
 def test_default_prime():
     assert DEFAULT_PRIME == 251
-    assert is_prime(251)
-
-
-def test_mul_minus_one_squared():
-    assert Fp(250) * Fp(250) == Fp(1)
-
-
-def test_mul_session_exponents():
-    # the update-exponent rule: 41 * 178 reduces to 19 mod 251
-    assert Fp(41) * Fp(178) == Fp(19)
-
-
-def test_additive_identity():
-    for x in (0, 1, 17, 250):
-        assert Fp(0) + Fp(x) == Fp(x)
-
-
-def test_modulus_mismatch_rejected():
-    with pytest.raises(ValueError):
-        Fp(1, 7) + Fp(1, 11)
-    with pytest.raises(ValueError):
-        Fp(1, 7) * Fp(1, 11)
+    assert validate_prime(251) == 251
 
 
 def test_nonprime_modulus_rejected():
-    with pytest.raises(ValueError):
-        Fp(1, 10)
+    for n in (0, 1, 10, 249, 253):
+        with pytest.raises(ValueError):
+            validate_prime(n)
 
 
 def test_inverse_known_values():
-    assert Fp(1).inv() == Fp(1)
-    assert Fp(2).inv() == Fp(126)
-    assert Fp(250).inv() == Fp(250)
+    assert inv_mod(1, 251) == 1
+    assert inv_mod(2, 251) == 126
+    assert inv_mod(250, 251) == 250
     with pytest.raises(ZeroDivisionError):
-        Fp(0).inv()
+        inv_mod(0, 251)
 
 
 def test_inverse_euclid_agrees_with_fermat():
@@ -52,36 +32,12 @@ def test_inverse_euclid_agrees_with_fermat():
             assert inv_mod(a, p) == pow(a, p - 2, p)
 
 
-def test_pow_edge_cases():
-    assert Fp(0) ** 0 == Fp(1)
-    assert Fp(37) ** 0 == Fp(1)
-    for x in (1, 2, 93, 250):
-        assert Fp(x) ** 250 == Fp(1)  # Fermat
-
-
-def test_pow_matches_repeated_multiplication():
-    expected = Fp(1)
-    for _ in range(10):
-        expected = expected * Fp(2)
-    assert Fp(2) ** 10 == expected == Fp(20)
-
-
-def test_field_axioms_randomized():
-    rng = RandomSource.deterministic(b"axioms")
-    for _ in range(300):
-        a, b, c = (Fp(rng.uniform(251)) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert a + (-a) == Fp(0)
-        av, bv = int(a), int(b)
-        assert int(a * b) == av * bv % 251  # wide-integer reference
-
-
 def test_inverse_property_randomized():
     rng = RandomSource.deterministic(7)
-    for _ in range(200):
-        a = Fp(rng.nonzero(251))
-        assert a * a.inv() == Fp(1)
+    for p in (251, 65521):
+        for _ in range(200):
+            a = rng.nonzero(p)
+            assert a * inv_mod(a, p) % p == 1
 
 
 class TestRandomSource:

@@ -9,28 +9,17 @@ from geg.protocol import (
     Entity,
     Phase,
     extract_exponents,
+    handshake,
     setup_shared,
+    start_session,
 )
 
 
 def make_pair(seed, d=8, p=251):
     """Full setup through first common key; returns (alice, bob, rng)."""
     rng = RandomSource.deterministic(seed)
-    basis, generator = setup_shared(rng, d, p)
-    alice = Entity("initiator", basis, generator)
-    bob = Entity("responder", basis, generator)
-    token_a = alice.keygen(rng)
-    token_b = bob.keygen(rng)
-    alice.derive_session_key(token_b)
-    bob.derive_session_key(token_a)
+    alice, bob = handshake(*setup_shared(rng, d, p), rng)
     return alice, bob, rng
-
-
-def open_one_session(alice, bob):
-    token_a = alice.open_session()
-    token_b = bob.ack_session(token_a)
-    alice.install_peer_token(token_b)
-    return token_a, token_b
 
 
 class TestSetup:
@@ -170,7 +159,7 @@ class TestSessions:
     def test_bilateral_consistency_over_sessions(self):
         alice, bob, _ = make_pair(8)
         for _ in range(10):
-            open_one_session(alice, bob)
+            start_session(alice, bob)
             ka, ea, pa, ga = alice.shared_parameters()
             kb, eb, pb, gb = bob.shared_parameters()
             assert (ka, ea, pa, ga) == (kb, eb, pb, gb)
@@ -181,7 +170,7 @@ class TestSessions:
         alice, bob, _ = make_pair(9)
         history = set()
         for _ in range(5):
-            open_one_session(alice, bob)
+            start_session(alice, bob)
             key, exps, basis, generator = alice.shared_parameters()
             snapshot = (key, basis, generator)
             assert snapshot not in history
@@ -191,13 +180,13 @@ class TestSessions:
         alice, bob, _ = make_pair(10)
         tokens = set()
         for _ in range(100):
-            ta, tb = open_one_session(alice, bob)
+            ta, tb = start_session(alice, bob)
             assert ta not in tokens and tb not in tokens
             tokens.update((ta, tb))
 
     def test_private_elements_commute_after_update(self):
         alice, bob, _ = make_pair(11)
-        open_one_session(alice, bob)
+        start_session(alice, bob)
         assert commutes(alice.private_element, bob.private_element)
 
     def test_open_before_keyed_rejected(self):
@@ -223,7 +212,7 @@ class TestSessions:
 class TestCipher:
     def test_round_trip_including_singular_plaintext(self):
         alice, bob, rng = make_pair(14)
-        open_one_session(alice, bob)
+        start_session(alice, bob)
         for i in range(50):
             plain = (
                 MatrixFp.random(rng, 8, 251)
@@ -235,14 +224,14 @@ class TestCipher:
 
     def test_bob_can_encrypt_to_alice(self):
         alice, bob, rng = make_pair(15)
-        open_one_session(alice, bob)
+        start_session(alice, bob)
         plain = MatrixFp.random(rng, 8, 251)
         block = bob.encrypt_block(plain, rng)
         assert alice.decrypt_block(block) == plain
 
     def test_fresh_ephemeral_each_block(self):
         alice, bob, rng = make_pair(16)
-        open_one_session(alice, bob)
+        start_session(alice, bob)
         plain = MatrixFp.random(rng, 8, 251)
         one = alice.encrypt_block(plain, rng)
         two = alice.encrypt_block(plain, rng)
@@ -251,14 +240,14 @@ class TestCipher:
 
     def test_y1_invertible(self):
         alice, bob, rng = make_pair(17)
-        open_one_session(alice, bob)
+        start_session(alice, bob)
         for _ in range(20):
             block = alice.encrypt_block(MatrixFp.random(rng, 8, 251), rng)
             assert block.y1.det() != 0
 
     def test_tampered_payload_decrypts_wrong(self):
         alice, bob, rng = make_pair(18)
-        open_one_session(alice, bob)
+        start_session(alice, bob)
         plain = MatrixFp.random(rng, 8, 251)
         block = alice.encrypt_block(plain, rng)
         rows = block.y2.tolist()
@@ -268,9 +257,9 @@ class TestCipher:
 
     def test_mismatched_session_decrypts_wrong(self):
         alice, bob, rng = make_pair(19)
-        open_one_session(alice, bob)
+        start_session(alice, bob)
         other_alice, other_bob, _ = make_pair(20)
-        open_one_session(other_alice, other_bob)
+        start_session(other_alice, other_bob)
         plain = MatrixFp.random(rng, 8, 251)
         block = alice.encrypt_block(plain, rng)
         assert other_bob.decrypt_block(block) != plain
@@ -289,7 +278,7 @@ class TestCipher:
 
     def test_works_at_d16(self):
         alice, bob, rng = make_pair(24, d=16)
-        open_one_session(alice, bob)
+        start_session(alice, bob)
         plain = MatrixFp.random(rng, 16, 251)
         assert bob.decrypt_block(alice.encrypt_block(plain, rng)) == plain
 
@@ -297,13 +286,12 @@ class TestCipher:
 class TestRestore:
     def test_restore_round_trip(self):
         alice, bob, rng = make_pair(25)
-        open_one_session(alice, bob)
+        start_session(alice, bob)
         clone = Entity.restore(
             bob.role,
             bob.basis,
             bob.generator,
             bob.session_key,
-            bob.exponents,
             bob.eigenvalues,
             peer_token=bob.peer_token,
         )
