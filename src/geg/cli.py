@@ -22,7 +22,7 @@ from .errors import (
     FrameValueError,
     GegError,
 )
-from .field import RandomSource, validate_prime
+from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp
 from .protocol import Entity, handshake, setup_shared, start_session
 
@@ -32,6 +32,7 @@ EXIT_IO = 3
 EXIT_CODEC = 4
 EXIT_PROTOCOL = 5
 
+PROTOCOL_DIMS = (8, 16)  # the dimensions the CLI runs the protocol at
 STATE_TAG = 0x10
 SESSION_OPEN_PHASE = 0x03  # the only persistable phase
 PRIVATE_MARKER = 0x90
@@ -88,7 +89,10 @@ def load_state(path: Path) -> Entity:
         raise FrameMagicError(f"{path}: unexpected file tag 0x{blob[4]:02x}")
     d = blob[5]
     (p,) = struct.unpack(">H", blob[6:8])
-    validate_prime(p)
+    if p != DEFAULT_PRIME:
+        raise FrameValueError(f"{path}: modulus {p} is not {DEFAULT_PRIME}")
+    if d not in PROTOCOL_DIMS:
+        raise FrameValueError(f"{path}: dimension {d} is not one of {PROTOCOL_DIMS}")
     role = _ROLE_NAMES.get(blob[8])
     if role is None:
         raise FrameValueError(f"{path}: unknown role byte 0x{blob[8]:02x}")
@@ -237,6 +241,8 @@ def run_decrypt(args) -> int:
         )
     blocks = []
     for msg in frames:
+        if msg.d != d:
+            raise FrameValueError(f"frame at d={msg.d} in a ciphertext stream at d={d}")
         cipher = wire.cipher_block_from_message(msg, p)
         blocks.append(entity.decrypt_block(cipher))
     data = wire.decode_plaintext(blocks)
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, protocol_dims: bool):
         if protocol_dims:
-            sp.add_argument("--dim", type=int, choices=(8, 16), default=8)
+            sp.add_argument("--dim", type=int, choices=PROTOCOL_DIMS, default=8)
         else:
             sp.add_argument("--dim", type=int, choices=range(2, 17), default=8,
                             metavar="{2..16}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GegError
 from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp
@@ -45,9 +47,6 @@ class DiagonalSpec:
     def d(self) -> int:
         return len(self.values)
 
-    def matrix(self) -> MatrixFp:
-        return MatrixFp.diagonal(self.values, self.p)
-
 
 class CommutingContext:
     """A fixed invertible basis matrix with its cached inverse.
@@ -77,11 +76,18 @@ class CommutingContext:
     def p(self) -> int:
         return self.basis.p
 
-    def conjugate(self, spec: DiagonalSpec) -> MatrixFp:
-        """basis @ diag(spec) @ basis**-1; invertible, eigenvalues = spec."""
+    def conjugate(self, spec: DiagonalSpec, e: int = 1) -> MatrixFp:
+        """basis @ diag(v**e mod p for v in spec) @ basis**-1: the e-th power
+        of the subgroup element with eigenvalues `spec`.
+
+        Powers act on the eigenvalues alone, so this is the one place a
+        subgroup element is raised to a power; no matrix square-and-multiply.
+        """
         if spec.d != self.d or spec.p != self.p:
             raise ValueError("diagonal spec does not match context parameters")
-        return self.basis @ spec.matrix() @ self.basis_inv
+        powered = np.array([pow(v, e, self.p) for v in spec.values], dtype=np.int64)
+        # basis @ diag(powered) scales the basis columns; entries stay below 251**2
+        return MatrixFp(self.basis.array * powered, self.p) @ self.basis_inv
 
     def random_element(self, rng: RandomSource) -> MatrixFp:
         """Fresh subgroup member; commutes with everything from this context."""

@@ -113,7 +113,6 @@ class Entity:
         self.phase = Phase.FRESH
         self._eigenvalues: DiagonalSpec | None = None
         self._initial_exponents: tuple[int, int] | None = None
-        self._private_element: MatrixFp | None = None
 
     # -- read-only views -----------------------------------------------------
 
@@ -137,7 +136,9 @@ class Entity:
     @property
     def private_element(self) -> MatrixFp | None:
         """Current private commuting element; tracks the session basis."""
-        return self._private_element
+        if self._eigenvalues is None:
+            return None
+        return self.context.conjugate(self._eigenvalues)
 
     @property
     def initial_exponents(self) -> tuple[int, int] | None:
@@ -162,9 +163,8 @@ class Entity:
         k2 = rng.nonzero(self.p)
         self._initial_exponents = (k1, k2)
         self._eigenvalues = DiagonalSpec.random(rng, self.d, self.p)
-        self._private_element = self.context.conjugate(self._eigenvalues)
-        a = self._private_element
-        return a.pow(k1) @ self.generator @ a.pow(k2)
+        a_k1, a_k2 = self._powers(self._eigenvalues, k1, k2)
+        return a_k1 @ self.generator @ a_k2
 
     def derive_session_key(self, peer_token: MatrixFp) -> None:
         """Combine the peer's setup token into the first common key."""
@@ -172,11 +172,14 @@ class Entity:
             raise ProtocolError("derive_session_key requires keygen on a fresh entity")
         if peer_token.det() == 0:
             raise ProtocolError("peer token is singular")
-        k1, k2 = self._initial_exponents
-        a = self._private_element
-        self._set_key(a.pow(k1) @ peer_token @ a.pow(k2))
+        a_k1, a_k2 = self._powers(self._eigenvalues, *self._initial_exponents)
+        self._set_key(a_k1 @ peer_token @ a_k2)
         self.peer_token = peer_token
         self.phase = Phase.KEYED
+
+    def _powers(self, spec: DiagonalSpec, e1: int, e2: int) -> tuple[MatrixFp, MatrixFp]:
+        # (X**e1, X**e2) for the subgroup element X with eigenvalues `spec`
+        return self.context.conjugate(spec, e1), self.context.conjugate(spec, e2)
 
     def _set_key(self, key: MatrixFp) -> None:
         # the exponent pair is always the one extracted from the current key
@@ -194,16 +197,15 @@ class Entity:
         k_n = key.pow(n2)
         self.context = CommutingContext(k_m @ self.basis @ k_n)
         self.generator = k_m @ self.generator @ k_n
-        self._private_element = self.context.conjugate(self._eigenvalues)
         self.peer_token = None  # previous session's token is stale now
-        a = self._private_element
-        return a.pow(m2) @ self.generator @ a.pow(n2)
+        a_m, a_n = self._powers(self._eigenvalues, m2, n2)
+        return a_m @ self.generator @ a_n
 
     def open_session(self) -> MatrixFp:
         """Start a new cipher session; returns the token to send.
 
         The opener cannot encrypt until the peer's answering token arrives
-        (``install_peer_token`` or an explicit argument to encrypt_block).
+        through ``install_peer_token``.
         """
         if self.phase is Phase.FRESH:
             raise ProtocolError("open_session requires a derived key")
@@ -230,12 +232,7 @@ class Entity:
 
     # -- cipher ----------------------------------------------------------------
 
-    def encrypt_block(
-        self,
-        plain: MatrixFp,
-        rng: RandomSource,
-        peer_token: MatrixFp | None = None,
-    ) -> CipherBlock:
+    def encrypt_block(self, plain: MatrixFp, rng: RandomSource) -> CipherBlock:
         """Encrypt one matrix block under a fresh ephemeral element.
 
         The ephemeral element changes per block: reusing it would relate
@@ -244,26 +241,22 @@ class Entity:
         """
         if self.phase is not Phase.SESSION_OPEN:
             raise ProtocolError("encrypt requires an open session")
-        token = peer_token if peer_token is not None else self.peer_token
-        if token is None:
+        if self.peer_token is None:
             raise ProtocolError("no session token from peer")
         if plain.d != self.d or plain.p != self.p:
             raise ValueError("plaintext block has wrong dimensions")
-        m, n = self.exponents  # type: ignore[misc]
-        j = self.context.random_element(rng)
-        j_m = j.pow(m)
-        j_n = j.pow(n)
+        ephemeral = DiagonalSpec.random(rng, self.d, self.p)
+        j_m, j_n = self._powers(ephemeral, *self.exponents)
         y1 = j_m @ self.generator @ j_n
-        y2 = plain @ (j_m @ token @ j_n)
+        y2 = plain @ (j_m @ self.peer_token @ j_n)
         return CipherBlock(y1, y2)
 
     def decrypt_block(self, block: CipherBlock) -> MatrixFp:
         """Invert a block encrypted against this entity's session token."""
         if self.phase is not Phase.SESSION_OPEN:
             raise ProtocolError("decrypt requires an open session")
-        m, n = self.exponents  # type: ignore[misc]
-        b = self._private_element
-        inner = b.pow(m) @ block.y1 @ b.pow(n)
+        b_m, b_n = self._powers(self._eigenvalues, *self.exponents)
+        inner = b_m @ block.y1 @ b_n
         try:
             return block.y2 @ inner.inv()
         except SingularMatrixError as exc:
@@ -288,7 +281,6 @@ class Entity:
             raise ProtocolError("persisted session key is singular")
         entity._set_key(session_key)
         entity._eigenvalues = eigenvalues
-        entity._private_element = entity.context.conjugate(eigenvalues)
         if peer_token is not None:
             entity.install_peer_token(peer_token)
         entity.phase = Phase.SESSION_OPEN

@@ -71,6 +71,8 @@ _KNOWN_TYPES = frozenset(_MATRIX_COUNT) | {MSG_CONTEXT_PARAMS}
 _PACK_CHUNK = 7          # plaintext bytes per digit group
 _DIGITS_PER_CHUNK = 8    # base-251 digits per group; 251**8 > 2**56
 _PACK_BASE = 251
+# place values, most significant first; 251**8 - 1 < 2**64, so uint64 never wraps
+_PLACES = _PACK_BASE ** np.arange(_DIGITS_PER_CHUNK - 1, -1, -1, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def read_frame(data: bytes, offset: int = 0) -> tuple[WireMessage, int]:
             raise FrameLengthError(
                 f"type 0x{msg_type:02x} at d={d} requires {count * d * d} payload bytes, got {length}"
             )
-        if any(b >= _PACK_BASE for b in payload):
+        if max(payload, default=0) >= _PACK_BASE:
             raise FrameValueError("matrix payload byte out of range (must be < 251)")
     else:
         if length != 2:
@@ -221,22 +223,13 @@ def encode_plaintext(data: bytes, d: int = 8, p: int = 251) -> list[MatrixFp]:
         raise UnsupportedModulusError("block codec is defined for p = 251")
     cap = block_capacity(d)
     pad = cap - len(data) % cap
-    padded = data + bytes([pad]) * pad
-    digits = np.empty(len(padded) // _PACK_CHUNK * _DIGITS_PER_CHUNK, dtype=np.int64)
-    pos = 0
-    for i in range(0, len(padded), _PACK_CHUNK):
-        value = int.from_bytes(padded[i : i + _PACK_CHUNK], "big")
-        group = []
-        for _ in range(_DIGITS_PER_CHUNK):
-            group.append(value % _PACK_BASE)
-            value //= _PACK_BASE
-        digits[pos : pos + _DIGITS_PER_CHUNK] = group[::-1]
-        pos += _DIGITS_PER_CHUNK
-    per_block = d * d
-    return [
-        MatrixFp(digits[i : i + per_block].reshape(d, d), p)
-        for i in range(0, len(digits), per_block)
-    ]
+    chunks = np.frombuffer(data + bytes([pad]) * pad, dtype=np.uint8).reshape(-1, _PACK_CHUNK)
+    # each chunk, behind one zero byte, is a big-endian 64-bit word
+    words = np.zeros((len(chunks), _DIGITS_PER_CHUNK), dtype=np.uint8)
+    words[:, 1:] = chunks
+    digits = words.view(">u8") // _PLACES
+    digits %= _PACK_BASE
+    return [MatrixFp(block, p) for block in digits.reshape(-1, d, d)]
 
 
 def decode_plaintext(blocks: list[MatrixFp]) -> bytes:
@@ -245,21 +238,17 @@ def decode_plaintext(blocks: list[MatrixFp]) -> bytes:
         raise CorruptBlockError("no blocks to decode")
     d = blocks[0].d
     cap = block_capacity(d)
-    out = bytearray()
-    for block in blocks:
-        if block.d != d:
-            raise CorruptBlockError("inconsistent block dimensions")
-        digits = block.array.reshape(-1).astype(np.int64)
-        for i in range(0, digits.size, _DIGITS_PER_CHUNK):
-            value = 0
-            for digit in digits[i : i + _DIGITS_PER_CHUNK]:
-                value = value * _PACK_BASE + int(digit)
-            if value >= 1 << (8 * _PACK_CHUNK):
-                raise CorruptBlockError("digit group exceeds the packed-chunk range")
-            out += value.to_bytes(_PACK_CHUNK, "big")
-    pad = out[-1] if out else 0
+    if any(block.d != d for block in blocks):
+        raise CorruptBlockError("inconsistent block dimensions")
+    digits = np.stack([block.array for block in blocks]).reshape(-1, _DIGITS_PER_CHUNK)
+    # einsum casts to uint64 in buffered slices; `@` would copy all digits as uint64
+    values = np.einsum("ij,j->i", digits, _PLACES)
+    if (values >> 8 * _PACK_CHUNK).any():
+        raise CorruptBlockError("digit group exceeds the packed-chunk range")
+    out = values.astype(">u8").view(np.uint8).reshape(-1, _DIGITS_PER_CHUNK)[:, 1:].tobytes()
+    pad = out[-1]
     if not 1 <= pad <= cap:
         raise PaddingError(f"pad length byte {pad} outside [1, {cap}]")
-    if any(b != pad for b in out[-pad:]):
+    if out[-pad:] != bytes([pad]) * pad:
         raise PaddingError("pad bytes are not uniform")
-    return bytes(out[:-pad])
+    return out[:-pad]

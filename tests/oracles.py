@@ -7,6 +7,8 @@ lists, exhaustive enumeration.  Slow but obviously correct at desk scale.
 
 from itertools import product
 
+from geg.errors import CorruptBlockError, PaddingError
+
 
 # -- matrices as plain lists of lists of ints --------------------------------
 
@@ -184,3 +186,50 @@ def charpoly_by_cofactor(rows, p):
         for i in range(d)
     ]
     return det_poly(entries)
+
+
+# -- plaintext block codec, one chunk and one digit at a time ----------------
+
+def loop_encode_plaintext(data, d):
+    """Digit matrices (lists of rows) of the 7-bytes-to-8-digits codec."""
+    cap = 7 * d * d // 8
+    pad = cap - len(data) % cap
+    padded = data + bytes([pad]) * pad
+    digits = []
+    for i in range(0, len(padded), 7):
+        value = int.from_bytes(padded[i : i + 7], "big")
+        group = []
+        for _ in range(8):
+            group.append(value % 251)
+            value //= 251
+        digits += group[::-1]
+    return [
+        [digits[i + r * d : i + (r + 1) * d] for r in range(d)]
+        for i in range(0, len(digits), d * d)
+    ]
+
+
+def loop_decode_plaintext(blocks):
+    """Inverse of loop_encode_plaintext, raising the codec's error classes."""
+    if not blocks:
+        raise CorruptBlockError("no blocks to decode")
+    d = len(blocks[0])
+    cap = 7 * d * d // 8
+    out = bytearray()
+    for rows in blocks:
+        if len(rows) != d:
+            raise CorruptBlockError("inconsistent block dimensions")
+        digits = [v for row in rows for v in row]
+        for i in range(0, len(digits), 8):
+            value = 0
+            for digit in digits[i : i + 8]:
+                value = value * 251 + digit
+            if value >= 1 << 56:
+                raise CorruptBlockError("digit group exceeds the packed-chunk range")
+            out += value.to_bytes(7, "big")
+    pad = out[-1]
+    if not 1 <= pad <= cap:
+        raise PaddingError(f"pad length byte {pad} outside [1, {cap}]")
+    if any(b != pad for b in out[-pad:]):
+        raise PaddingError("pad bytes are not uniform")
+    return bytes(out[:-pad])

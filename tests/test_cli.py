@@ -134,6 +134,28 @@ class TestFileCrypto:
         )
         assert code == cli.EXIT_CODEC
 
+    def test_block_dim_differs_from_context_frame(self, capsys, tmp_path):
+        # a d=8 context frame followed by d=16 cipher blocks
+        ciphertexts = []
+        for dim, seed in (("8", "bb"), ("16", "aa")):
+            prefix = tmp_path / f"kx{dim}"
+            assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", seed, "--dim", dim])[0] == 0
+            src, enc = tmp_path / "m.bin", tmp_path / f"m{dim}.geg"
+            src.write_bytes(b"hello")
+            argv = ["encrypt", "--state", str(prefix.with_name(f"kx{dim}.initiator")),
+                    "--in", str(src), "--out", str(enc)]
+            assert run(capsys, argv)[0] == 0
+            ciphertexts.append(enc.read_bytes())
+        spliced = tmp_path / "spliced.geg"
+        spliced.write_bytes(ciphertexts[0][:12] + ciphertexts[1][12:])  # context frame: 12 bytes
+        code, _, err = run(
+            capsys,
+            ["decrypt", "--state", str(tmp_path / "kx8.responder"),
+             "--in", str(spliced), "--out", str(tmp_path / "o")],
+        )
+        assert code == cli.EXIT_CODEC
+        assert "d=16" in err
+
 
 class TestStatePersistence:
     def test_save_load_identical_behavior(self, tmp_path):
@@ -170,10 +192,11 @@ class TestStatePersistence:
 
     # state header: magic(4) tag d p(2) role phase m n
     TAMPER = {"role": (8, "role byte"), "phase": (9, "phase byte"),
-              "m": (10, "exponent m="), "n": (11, "exponent n=")}
+              "m": (10, "exponent m="), "n": (11, "exponent n="),
+              "p=10": (6, "modulus 10 "), "p=2": (6, "modulus 2 "), "p=257": (6, "modulus 257 ")}
 
     @pytest.mark.parametrize("side", ["initiator", "responder"])
-    @pytest.mark.parametrize("field", [None, "role", "phase", "m", "n"])
+    @pytest.mark.parametrize("field", [None, "role", "phase", "m", "n", "p=10", "p=2", "p=257"])
     def test_tampered_header_byte_rejected(self, capsys, tmp_path, side, field):
         prefix = tmp_path / "kx"
         assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", "beef"])[0] == 0
@@ -181,8 +204,12 @@ class TestStatePersistence:
         blob = bytearray(state.read_bytes())
         if field is not None:
             offset, _ = self.TAMPER[field]
-            # role 0x7f and phase 0x55 are undefined; m, n move to another nonzero value
-            blob[offset] = {"role": 0x7F, "phase": 0x55}.get(field, blob[offset] % 250 + 1)
+            if field.startswith("p="):
+                # not prime, a prime below 251, a prime above the byte range
+                blob[offset : offset + 2] = int(field[2:]).to_bytes(2, "big")
+            else:
+                # role 0x7f and phase 0x55 are undefined; m, n move to another nonzero value
+                blob[offset] = {"role": 0x7F, "phase": 0x55}.get(field, blob[offset] % 250 + 1)
             state.write_bytes(bytes(blob))
         src = tmp_path / "p.bin"
         src.write_bytes(b"hello")
@@ -194,6 +221,21 @@ class TestStatePersistence:
         else:
             assert code == cli.EXIT_CODEC
             assert self.TAMPER[field][1] in err
+
+    @pytest.mark.parametrize("d", [0, 2, 12])
+    def test_unsupported_dimension_rejected(self, capsys, tmp_path, d):
+        # length-consistent: header, four zero matrices, marker, eigenvalues 1..d
+        blob = b"GEG1" + bytes([cli.STATE_TAG, d, 0, 251, 0x01, cli.SESSION_OPEN_PHASE, 1, 1])
+        blob += bytes(4 * d * d) + bytes([cli.PRIVATE_MARKER]) + bytes(range(1, d + 1))
+        state = tmp_path / "hand.state"
+        state.write_bytes(blob)
+        src = tmp_path / "p.bin"
+        src.write_bytes(b"hello")
+        code, _, err = run(
+            capsys, ["encrypt", "--state", str(state), "--in", str(src), "--out", str(tmp_path / "c")]
+        )
+        assert code == cli.EXIT_CODEC
+        assert f"dimension {d} " in err
 
 
 class TestBenchAndAnalyze:

@@ -5,6 +5,8 @@ from geg.errors import GegError, SingularMatrixError
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
 
+from oracles import naive_matpow
+
 
 class TestDiagonalSpec:
     def test_rejects_zero(self):
@@ -55,6 +57,17 @@ class TestContext:
                 det = det * v % 251
             assert m.det() == det
             assert int(m.main_diagonal().sum()) % 251 == sum(spec.values) % 251
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_conjugate_power_matches_naive_matpow(self, d):
+        # at e = 125 every eigenvalue maps to its quadratic character, +1 or -1
+        rng = RandomSource.deterministic(bytes([d]))
+        ctx = CommutingContext.random(rng, d, 251)
+        spec = DiagonalSpec.random(rng, d, 251)
+        element = ctx.conjugate(spec).tolist()
+        for e in (0, 1, 2, 125, 249, 250, 251, 1000):
+            assert ctx.conjugate(spec, e).tolist() == naive_matpow(element, e, 251)
+        assert {pow(v, 125, 251) for v in spec.values} == {1, 250}
 
     def test_conjugate_dimension_mismatch(self):
         rng = RandomSource.deterministic(3)

@@ -10,6 +10,8 @@ from geg.field import RandomSource
 from geg.linalg import MatrixFp
 from geg.protocol import CipherBlock
 
+from oracles import loop_decode_plaintext, loop_encode_plaintext
+
 FIXTURES = Path(__file__).parent / "fixtures" / "wire_vectors.json"
 
 
@@ -201,6 +203,43 @@ class TestBlockCodec:
             except CodecError:
                 caught += 1
         assert caught > 400  # random digit groups rarely decode to valid padding
+
+    def test_array_codec_matches_loop_oracle(self):
+        rnd = random.Random(12)
+        for d in (8, 16):
+            for n in [0, 2000] + [rnd.randrange(0, 2001) for _ in range(60)]:
+                data = rnd.randbytes(n)
+                blocks = wire.encode_plaintext(data, d)
+                rows = [b.tolist() for b in blocks]
+                assert rows == loop_encode_plaintext(data, d)
+                assert wire.decode_plaintext(blocks) == loop_decode_plaintext(rows) == data
+
+    def test_fuzzed_blocks_match_loop_oracle(self):
+        rnd = random.Random(99)
+        # the inputs of test_fuzzed_blocks_raise_cleanly
+        cases = [[[[rnd.randrange(251) for _ in range(8)] for _ in range(8)]] for _ in range(500)]
+        # valid encodings with one digit changed, so groups and padding fail in every way
+        for _ in range(500):
+            rows = [b.tolist() for b in wire.encode_plaintext(rnd.randbytes(rnd.randrange(120)), 8)]
+            rnd.choice(rows)[rnd.randrange(8)][rnd.randrange(8)] = rnd.randrange(251)
+            cases.append(rows)
+        # one group on either side of the 2**56 limit
+        for value in (2**56 - 1, 2**56):
+            rows = wire.encode_plaintext(b"", 8)[0].tolist()
+            rows[3] = [value // 251**k % 251 for k in range(7, -1, -1)]
+            cases.append([rows])
+        outcomes = set()
+        for blocks in cases:
+            try:
+                expected = loop_decode_plaintext(blocks)
+            except CodecError as exc:
+                outcomes.add(type(exc))
+                with pytest.raises(type(exc)):
+                    wire.decode_plaintext([MatrixFp(b, 251) for b in blocks])
+            else:
+                outcomes.add(bytes)
+                assert wire.decode_plaintext([MatrixFp(b, 251) for b in blocks]) == expected
+        assert outcomes == {bytes, CorruptBlockError, PaddingError}
 
     def test_unsupported_modulus(self):
         with pytest.raises(errors.UnsupportedModulusError):
