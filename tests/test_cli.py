@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from geg import cli
+from geg import cli, wire
+from geg.linalg import MatrixFp
 
 
 def run(capsys, argv):
@@ -155,6 +156,38 @@ class TestFileCrypto:
         )
         assert code == cli.EXIT_CODEC
         assert "d=16" in err
+
+    # a valid d=8 stream: context frame (12 bytes), then three cipher frames of
+    # 10 + 128 bytes; the second cipher frame starts at byte 150
+    BASIS_FRAME = wire.frame(wire.matrix_message(wire.MSG_BASIS_INIT, MatrixFp.identity(8)))
+    MALFORMED = {
+        "truncated-last-frame": (lambda s: s[:-1], cli.EXIT_CODEC, "payload of 128 bytes is truncated"),
+        "partial-trailing-header": (lambda s: s + s[12:17], cli.EXIT_CODEC, "truncated frame header"),
+        "payload-byte-251": (lambda s: s[:165] + b"\xfb" + s[166:], cli.EXIT_CODEC, "out of range"),
+        "context-frame-mid-stream": (lambda s: s[:150] + s[:12] + s[150:], cli.EXIT_CODEC,
+                                     "not a cipher-block message"),
+        "basis-frame-mid-stream": (lambda s: s[:150] + TestFileCrypto.BASIS_FRAME + s[150:],
+                                   cli.EXIT_CODEC, "not a cipher-block message"),
+        "other-d-byte": (lambda s: s[:155] + b"\x10" + s[156:], cli.EXIT_CODEC, "d=16"),
+        "singular-y1": (lambda s: s[:160] + bytes(64) + s[224:], cli.EXIT_PROTOCOL, "singular"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_cipher_stream(self, capsys, tmp_path, case):
+        edit, exit_code, message = self.MALFORMED[case]
+        init, resp = self.exchange(capsys, tmp_path)
+        src, enc, dst = tmp_path / "p.bin", tmp_path / "c.geg", tmp_path / "o.bin"
+        src.write_bytes(bytes(range(112)))  # two full blocks and a pad block
+        assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc)])[0] == 0
+        stream = enc.read_bytes()
+        assert len(stream) == 12 + 3 * 138
+        enc.write_bytes(edit(stream))
+        code, _, err = run(
+            capsys, ["decrypt", "--state", str(resp), "--in", str(enc), "--out", str(dst)]
+        )
+        assert code == exit_code
+        assert message in err
+        assert not dst.exists()
 
 
 class TestStatePersistence:
