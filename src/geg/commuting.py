@@ -89,6 +89,20 @@ class CommutingContext:
         # basis @ diag(powered) scales the basis columns; entries stay below 251**2
         return MatrixFp(self.basis.array * powered, self.p) @ self.basis_inv
 
+    def to_eigenbasis(self, x) -> np.ndarray:
+        """basis**-1 @ x @ basis for a matrix or an (N, d, d) stack, as int64
+        residues: a subgroup element becomes diagonal here."""
+        return self._change_basis(self.basis_inv, x, self.basis)
+
+    def from_eigenbasis(self, x) -> np.ndarray:
+        """basis @ x @ basis**-1, the inverse of to_eigenbasis."""
+        return self._change_basis(self.basis, x, self.basis_inv)
+
+    def _change_basis(self, left: MatrixFp, x, right: MatrixFp) -> np.ndarray:
+        # entries stay below d**2 * p**3 < 2**63, so one reduction suffices
+        product = left.array.astype(np.int64) @ np.asarray(x, dtype=np.int64)
+        return product @ right.array.astype(np.int64) % self.p
+
     def random_element(self, rng: RandomSource) -> MatrixFp:
         """Fresh subgroup member; commutes with everything from this context."""
         return self.conjugate(DiagonalSpec.random(rng, self.d, self.p))

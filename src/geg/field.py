@@ -42,6 +42,21 @@ def inv_mod(a: int, p: int) -> int:
     return s_lo % p
 
 
+@lru_cache(maxsize=None)  # callers pass e in [1, p-1]: at most p-1 tables per modulus
+def power_table(e: int, p: int) -> np.ndarray:
+    """Read-only int64 array holding v**e mod p at index v, for every residue
+    v: square-and-multiply on the whole array at once."""
+    table = np.ones(p, dtype=np.int64)
+    base = np.arange(p, dtype=np.int64)
+    while e:
+        if e & 1:
+            table = table * base % p
+        e >>= 1
+        base = base * base % p
+    table.setflags(write=False)
+    return table
+
+
 class RandomSource:
     """Uniform sampling over field domains with two interchangeable backends.
 

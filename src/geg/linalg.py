@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import SingularMatrixError
-from .field import DEFAULT_PRIME, RandomSource, inv_mod, validate_prime
+from .field import DEFAULT_PRIME, RandomSource, inv_mod, power_table, validate_prime
 
 MAX_BYTE_PRIME = 251
 
@@ -46,9 +46,10 @@ class MatrixFp:
 
     @classmethod
     def _wrap(cls, canonical: np.ndarray, p: int) -> "MatrixFp":
-        # internal fast path: `canonical` is already a reduced int array
+        # internal fast path: `canonical` is already a reduced int array; a
+        # uint8 one is kept as a view, not copied
         m = object.__new__(cls)
-        arr = canonical.astype(np.uint8)
+        arr = canonical.astype(np.uint8, copy=False)
         arr.setflags(write=False)
         object.__setattr__(m, "_a", arr)
         object.__setattr__(m, "p", p)
@@ -75,6 +76,23 @@ class MatrixFp:
             m = cls.random(rng, d, p)
             if m.det() != 0:
                 return m
+
+    @classmethod
+    def unstack(cls, stack, p: int = DEFAULT_PRIME) -> list["MatrixFp"]:
+        """One matrix per entry of an (N, d, d) stack of residues mod p.
+
+        The stack is checked and copied once; the matrices are read-only
+        views of that copy, so no per-matrix validation or allocation.
+        """
+        _check_modulus(p)
+        a = np.asarray(stack)
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 2:
+            raise ValueError(f"stack of square matrices (d >= 2) required, got shape {a.shape}")
+        if a.size and (a.min() < 0 or a.max() >= p):
+            raise ValueError(f"stack entries must be residues mod {p}")
+        arr = a.astype(np.uint8)
+        arr.setflags(write=False)
+        return [cls._wrap(m, p) for m in arr]
 
     # -- views -------------------------------------------------------------
 
@@ -161,25 +179,8 @@ class MatrixFp:
         return det % p
 
     def inv(self) -> "MatrixFp":
-        """Inverse via Gauss-Jordan on [A | I]; raises SingularMatrixError if det == 0."""
-        p = self.p
-        d = self.d
-        aug = np.concatenate(
-            [self._a.astype(np.int64), np.eye(d, dtype=np.int64)], axis=1
-        )
-        for col in range(d):
-            pivots = np.nonzero(aug[col:, col])[0]
-            if pivots.size == 0:
-                raise SingularMatrixError(f"matrix has no inverse mod {p}")
-            row = col + int(pivots[0])
-            if row != col:
-                aug[[col, row]] = aug[[row, col]]
-            aug[col] = aug[col] * inv_mod(int(aug[col, col]), p) % p
-            others = np.nonzero(aug[:, col])[0]
-            others = others[others != col]
-            if others.size:
-                aug[others] = (aug[others] - np.outer(aug[others, col], aug[col])) % p
-        return MatrixFp._wrap(aug[:, d:], p)
+        """Inverse; raises SingularMatrixError if det == 0.  The N=1 case of inv_stack."""
+        return MatrixFp._wrap(inv_stack(self._a[np.newaxis], self.p)[0], self.p)
 
     # -- comparisons -------------------------------------------------------
 
@@ -195,6 +196,42 @@ class MatrixFp:
 
     def __repr__(self) -> str:
         return f"MatrixFp(d={self.d}, p={self.p})"
+
+
+def inv_stack(stack, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """Inverses mod p of an (N, d, d) stack of matrices, as int64 residues.
+
+    Gauss-Jordan on [A | I] for all N matrices at once: in each column the
+    pivot is the first nonzero entry at or below the diagonal, chosen per
+    matrix.  Raises SingularMatrixError if any matrix of the stack is singular.
+    """
+    a = np.asarray(stack, dtype=np.int64) % p
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"stack of square matrices required, got shape {a.shape}")
+    n, d = a.shape[0], a.shape[1]
+    aug = np.zeros((n, d, 2 * d), dtype=np.int64)
+    aug[:, :, :d] = a
+    aug[:, np.arange(d), d + np.arange(d)] = 1
+    inverse = power_table(p - 2, p)  # v**-1 for nonzero v, p prime
+    rows = np.arange(n)
+    for col in range(d):
+        nonzero = aug[:, col:, col] != 0
+        found = nonzero.any(axis=1)
+        if not found.all():
+            index = int(np.flatnonzero(~found)[0])
+            raise SingularMatrixError(f"matrix {index} of the stack has no inverse mod {p}")
+        pivot = col + nonzero.argmax(axis=1)
+        if (pivot != col).any():
+            top = aug[:, col].copy()
+            aug[:, col] = aug[rows, pivot]
+            aug[rows, pivot] = top
+        aug[:, col] = aug[:, col] * inverse[aug[:, col, col]][:, np.newaxis] % p
+        # clear the column in every other row; entries stay below p**2
+        factors = aug[:, :, col].copy()
+        factors[:, col] = 0
+        aug -= factors[:, :, np.newaxis] * aug[:, np.newaxis, col]
+        aug %= p
+    return aug[:, :, d:]
 
 
 def companion_matrix(poly) -> MatrixFp:

@@ -21,10 +21,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .commuting import CommutingContext, DiagonalSpec
 from .errors import ProtocolError, SingularMatrixError
-from .field import DEFAULT_PRIME, RandomSource
-from .linalg import MatrixFp
+from .field import DEFAULT_PRIME, RandomSource, power_table
+from .linalg import MatrixFp, inv_stack
 
 
 class Phase(enum.Enum):
@@ -232,35 +234,75 @@ class Entity:
 
     # -- cipher ----------------------------------------------------------------
 
-    def encrypt_block(self, plain: MatrixFp, rng: RandomSource) -> CipherBlock:
-        """Encrypt one matrix block under a fresh ephemeral element.
+    def encrypt_blocks(self, plains, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+        """Encrypt an (N, d, d) stack of plaintext blocks; returns the uint8
+        stacks (y1, y2).
 
-        The ephemeral element changes per block: reusing it would relate
-        blocks algebraically under known plaintext.  The plaintext matrix
-        itself may be singular.
+        Each block has its own fresh ephemeral element J: reusing one would
+        relate blocks algebraically under known plaintext.  The N eigenvalue
+        lists are drawn first, in block order, so the ciphertext equals that
+        of N single-block calls on the same random stream.  Plaintext blocks
+        may be singular.
         """
         if self.phase is not Phase.SESSION_OPEN:
             raise ProtocolError("encrypt requires an open session")
         if self.peer_token is None:
             raise ProtocolError("no session token from peer")
-        if plain.d != self.d or plain.p != self.p:
-            raise ValueError("plaintext block has wrong dimensions")
-        ephemeral = DiagonalSpec.random(rng, self.d, self.p)
-        j_m, j_n = self._powers(ephemeral, *self.exponents)
-        y1 = j_m @ self.generator @ j_n
-        y2 = plain @ (j_m @ self.peer_token @ j_n)
-        return CipherBlock(y1, y2)
+        plains = np.asarray(plains)
+        if plains.ndim != 3 or plains.shape[1:] != (self.d, self.d):
+            raise ValueError("plaintext blocks have wrong dimensions")
+        p, ctx = self.p, self.context
+        ephemeral = np.array(
+            [rng.distinct_nonzero(self.d, p) for _ in range(len(plains))], dtype=np.int64
+        ).reshape(-1, self.d)
+        # J^m X J^n for X in (G, B'), B' the peer's session token, for every
+        # block at once: y1 = J^m G J^n and y2 = H (J^m B' J^n)
+        public = ctx.to_eigenbasis(np.stack([self.generator.array, self.peer_token.array]))
+        weights = self._sandwich_weights(ephemeral)[:, np.newaxis]
+        sandwiches = ctx.from_eigenbasis(weights * public % p)
+        y1, mask = sandwiches[:, 0], sandwiches[:, 1]
+        y2 = plains.astype(np.int64) @ mask % p
+        return y1.astype(np.uint8), y2.astype(np.uint8)
 
-    def decrypt_block(self, block: CipherBlock) -> MatrixFp:
-        """Invert a block encrypted against this entity's session token."""
+    def decrypt_blocks(self, y1, y2) -> np.ndarray:
+        """Invert (N, d, d) stacks of blocks encrypted against this entity's
+        session token; returns the uint8 plaintext stack."""
         if self.phase is not Phase.SESSION_OPEN:
             raise ProtocolError("decrypt requires an open session")
-        b_m, b_n = self._powers(self._eigenvalues, *self.exponents)
-        inner = b_m @ block.y1 @ b_n
+        y1, y2 = np.asarray(y1), np.asarray(y2)
+        if y1.ndim != 3 or y1.shape[1:] != (self.d, self.d) or y2.shape != y1.shape:
+            raise ValueError("cipher blocks have wrong dimensions")
+        p, ctx = self.p, self.context
+        # B^m y1 B^n in the eigenbasis; y2 (B^m y1 B^n)^-1 = y2 P (that)^-1 P^-1
+        weights = self._sandwich_weights(np.array(self._eigenvalues.values, dtype=np.int64))
+        masked = weights * ctx.to_eigenbasis(y1) % p
         try:
-            return block.y2 @ inner.inv()
+            unmask = inv_stack(masked, p)
         except SingularMatrixError as exc:
             raise ProtocolError("malformed ciphertext: masked generator is singular") from exc
+        return (y2.astype(np.int64) @ ctx.from_eigenbasis(unmask) % p).astype(np.uint8)
+
+    def _sandwich_weights(self, eigenvalues: np.ndarray) -> np.ndarray:
+        """outer(λ^m, λ^n) for each eigenvalue list λ (the last axis), with
+        (m, n) the session exponents.
+
+        For Z = P diag(λ) P^-1, Z^m X Z^n = P (outer(λ^m, λ^n) ∘ X~) P^-1
+        where X~ = P^-1 X P, so a sandwich costs no matrix power.
+        """
+        m_powers, n_powers = (power_table(e, self.p)[eigenvalues] for e in self.exponents)
+        return m_powers[..., :, np.newaxis] * n_powers[..., np.newaxis, :] % self.p
+
+    def encrypt_block(self, plain: MatrixFp, rng: RandomSource) -> CipherBlock:
+        """Encrypt one matrix block: the N=1 case of encrypt_blocks."""
+        if plain.p != self.p:
+            raise ValueError("plaintext block has wrong modulus")
+        y1, y2 = self.encrypt_blocks(plain.array[np.newaxis], rng)
+        return CipherBlock(MatrixFp(y1[0], self.p), MatrixFp(y2[0], self.p))
+
+    def decrypt_block(self, block: CipherBlock) -> MatrixFp:
+        """Invert one block: the N=1 case of decrypt_blocks."""
+        plain = self.decrypt_blocks(block.y1.array[np.newaxis], block.y2.array[np.newaxis])
+        return MatrixFp(plain[0], self.p)
 
     # -- persistence (used by the CLI state files) ------------------------------
 

@@ -188,6 +188,47 @@ def cipher_block_from_message(msg: WireMessage, p: int = 251) -> CipherBlock:
     )
 
 
+def cipher_frames(y1: np.ndarray, y2: np.ndarray) -> bytes:
+    """The cipher-block frames of (N, d, d) stacks y1 and y2, in block order:
+    the same bytes as framing each block's message on its own."""
+    n, d = y1.shape[0], y1.shape[1]
+    out = np.empty((n, HEADER_LEN + 2 * d * d), dtype=np.uint8)
+    out[:, :HEADER_LEN] = np.frombuffer(_cipher_header(d), dtype=np.uint8)
+    out[:, HEADER_LEN : HEADER_LEN + d * d] = y1.reshape(n, d * d)
+    out[:, HEADER_LEN + d * d :] = y2.reshape(n, d * d)
+    return out.tobytes()
+
+
+def read_cipher_blocks(data: bytes, offset: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, d, d) stacks y1 and y2 of the cipher-block frames at dimension
+    d that fill data[offset:], as read-only views of `data`.
+
+    Every header and every payload byte is checked in one pass.  From the
+    first frame that fails, the stream is parsed by read_frame, so each
+    defect raises the error it raises frame by frame: a framing error, a
+    FrameValueError for a frame at another d, or a FrameTypeError.
+    """
+    size = HEADER_LEN + 2 * d * d
+    count = (len(data) - offset) // size
+    frames = np.frombuffer(data, dtype=np.uint8, count=count * size, offset=offset)
+    frames = frames.reshape(count, size)
+    good = (frames[:, :HEADER_LEN] == np.frombuffer(_cipher_header(d), dtype=np.uint8)).all(axis=1)
+    good &= frames[:, HEADER_LEN:].max(axis=1, initial=0) < _PACK_BASE
+    bad = np.flatnonzero(~good)
+    if bad.size or offset + count * size != len(data):
+        msg, _ = read_frame(data, offset + size * (int(bad[0]) if bad.size else count))
+        if msg.d != d:
+            raise FrameValueError(f"frame at d={msg.d} in a ciphertext stream at d={d}")
+        raise FrameTypeError("not a cipher-block message")
+    half = HEADER_LEN + d * d
+    return (frames[:, HEADER_LEN:half].reshape(count, d, d),
+            frames[:, half:].reshape(count, d, d))
+
+
+def _cipher_header(d: int) -> bytes:
+    return MAGIC + struct.pack(">BBI", MSG_CIPHER_BLOCK, d, 2 * d * d)
+
+
 def context_message(d: int, p: int) -> WireMessage:
     if not 2 <= p <= 0xFFFF:
         raise ValueError("modulus out of range for context message")
@@ -229,7 +270,7 @@ def encode_plaintext(data: bytes, d: int = 8, p: int = 251) -> list[MatrixFp]:
     words[:, 1:] = chunks
     digits = words.view(">u8") // _PLACES
     digits %= _PACK_BASE
-    return [MatrixFp(block, p) for block in digits.reshape(-1, d, d)]
+    return MatrixFp.unstack(digits.reshape(-1, d, d), p)
 
 
 def decode_plaintext(blocks: list[MatrixFp]) -> bytes:

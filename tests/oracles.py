@@ -2,10 +2,13 @@
 
 Everything here deliberately avoids the package's own arithmetic paths:
 plain-int triple loops, cofactor expansions, long division on coefficient
-lists, exhaustive enumeration.  Slow but obviously correct at desk scale.
+lists, exhaustive enumeration, and one numpy block at a time where plain
+ints would be too slow.  Slow but obviously correct at desk scale.
 """
 
 from itertools import product
+
+import numpy as np
 
 from geg.errors import CorruptBlockError, PaddingError
 
@@ -39,6 +42,24 @@ def naive_det(a, p):
         sign = -1 if j % 2 else 1
         total += sign * a[0][j] * naive_det(minor, p)
     return total % p
+
+
+def naive_inv(a, p):
+    """Inverse by plain-int Gauss-Jordan on [A | I] mod p, or None if singular."""
+    n = len(a)
+    aug = [[v % p for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot_row is None:
+            return None
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        inv = pow(aug[col][col], p - 2, p)
+        aug[col] = [v * inv % p for v in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def all_square_matrices(d, p):
@@ -233,3 +254,28 @@ def loop_decode_plaintext(blocks):
     if any(b != pad for b in out[-pad:]):
         raise PaddingError("pad bytes are not uniform")
     return bytes(out[:-pad])
+
+
+# -- cipher, one block at a time ----------------------------------------------
+
+def reference_encrypt(basis, generator, peer_token, exponents, plains, rng, p=251):
+    """(y1, y2) lists of int64 arrays, one block at a time by the matrix form
+    y1 = J^m G J^n, y2 = H (J^m B' J^n) with J^e = P diag(λ^e) P^-1, and λ
+    drawn per block from `rng` as the cipher draws it."""
+    d = len(basis)
+    P = np.array(basis, dtype=np.int64)
+    P_inv = np.array(naive_inv(basis, p), dtype=np.int64)
+    G = np.array(generator, dtype=np.int64)
+    T = np.array(peer_token, dtype=np.int64)
+    m, n = exponents
+
+    def power(lam, e):
+        return P * np.array([pow(v, e, p) for v in lam]) % p @ P_inv % p
+
+    y1s, y2s = [], []
+    for plain in plains:
+        lam = rng.distinct_nonzero(d, p)
+        j_m, j_n = power(lam, m), power(lam, n)
+        y1s.append(j_m @ G % p @ j_n % p)
+        y2s.append(np.array(plain, dtype=np.int64) @ (j_m @ T % p @ j_n % p) % p)
+    return y1s, y2s

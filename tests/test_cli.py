@@ -1,9 +1,14 @@
+import os
 import random
 
+import numpy as np
 import pytest
 
 from geg import cli, wire
+from geg.field import RandomSource
 from geg.linalg import MatrixFp
+
+from oracles import loop_encode_plaintext, reference_encrypt
 
 
 def run(capsys, argv):
@@ -188,6 +193,84 @@ class TestFileCrypto:
         assert code == exit_code
         assert message in err
         assert not dst.exists()
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    @pytest.mark.parametrize("blocks", [1, 255, 256, 257, 600])
+    def test_encrypt_matches_per_block_reference(self, capsys, tmp_path, dim, blocks):
+        # the CLI encrypts in slices of BATCH_BLOCKS; 255..257 and 600 cross them
+        prefix = tmp_path / "kx"
+        assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", "beef",
+                            "--dim", str(dim)])[0] == 0
+        init = prefix.with_name("kx.initiator")
+        src, enc = tmp_path / "p.bin", tmp_path / "c.geg"
+        cap = wire.block_capacity(dim)
+        data = random.Random(blocks).randbytes(blocks * cap - 1)
+        src.write_bytes(data)
+        assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc),
+                            "--seed", "11"])[0] == 0
+        entity = cli.load_state(init)
+        plains = loop_encode_plaintext(data, dim)
+        assert len(plains) == blocks
+        want_y1, want_y2 = reference_encrypt(
+            entity.basis.tolist(), entity.generator.tolist(), entity.peer_token.tolist(),
+            entity.exponents, plains, RandomSource.deterministic(bytes.fromhex("11")))
+        # the CLI's stream, read frame by frame
+        frames = list(wire.iter_frames(enc.read_bytes()))[1:]
+        cipher = [wire.cipher_block_from_message(msg) for msg in frames]
+        assert [c.y1.tolist() for c in cipher] == [y.tolist() for y in want_y1]
+        assert [c.y2.tolist() for c in cipher] == [y.tolist() for y in want_y2]
+        # and one encrypt_blocks call over all blocks
+        y1, y2 = entity.encrypt_blocks(np.array(plains), RandomSource.deterministic(bytes.fromhex("11")))
+        assert y1.tolist() == [y.tolist() for y in want_y1]
+        assert y2.tolist() == [y.tolist() for y in want_y2]
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    @pytest.mark.parametrize("dim, code", [("8", cli.EXIT_OK), ("16", cli.EXIT_USAGE)])
+    def test_dim_must_match_state(self, capsys, tmp_path, command, dim, code):
+        init, resp = self.exchange(capsys, tmp_path)  # d=8
+        src, enc, dst = tmp_path / "p.bin", tmp_path / "c.geg", tmp_path / "o.bin"
+        src.write_bytes(b"hello")
+        assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc)])[0] == 0
+        state, source, out = (init, src, tmp_path / "c2.geg") if command == "encrypt" else (resp, enc, dst)
+        got, _, err = run(capsys, [command, "--dim", dim, "--state", str(state),
+                                   "--in", str(source), "--out", str(out)])
+        assert got == code
+        assert out.exists() == (code == cli.EXIT_OK)
+        if code != cli.EXIT_OK:
+            assert "does not match the state file's d=8" in err
+
+    def test_decrypt_takes_no_seed(self, capsys, tmp_path):
+        init, resp = self.exchange(capsys, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decrypt", "--state", str(resp), "--in", str(tmp_path / "c"),
+                      "--out", str(tmp_path / "o"), "--seed", "11"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["keyexchange", "encrypt", "decrypt"])
+    def test_failed_write_keeps_old_file(self, capsys, tmp_path, monkeypatch, command):
+        init, resp = self.exchange(capsys, tmp_path)
+        src, enc = tmp_path / "p.bin", tmp_path / "c.geg"
+        src.write_bytes(b"hello")
+        assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc)])[0] == 0
+        target = {"keyexchange": init, "encrypt": enc, "decrypt": tmp_path / "o.bin"}[command]
+        target.write_bytes(b"old contents")
+        before = sorted(tmp_path.iterdir())
+
+        def fail(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        argv = {
+            "keyexchange": ["keyexchange", "--state", str(tmp_path / "kx"), "--seed", "beef"],
+            "encrypt": ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc)],
+            "decrypt": ["decrypt", "--state", str(resp), "--in", str(enc), "--out", str(target)],
+        }[command]
+        code, _, err = run(capsys, argv)
+        assert code == cli.EXIT_IO
+        assert "simulated rename failure" in err
+        assert target.read_bytes() == b"old contents"
+        assert sorted(tmp_path.iterdir()) == before  # no temporary file left behind
 
 
 class TestStatePersistence:

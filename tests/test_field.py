@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geg.field import DEFAULT_PRIME, RandomSource, inv_mod, validate_prime
+from geg.field import DEFAULT_PRIME, RandomSource, inv_mod, power_table, validate_prime
 
 
 def test_default_prime():
@@ -30,6 +30,12 @@ def test_inverse_euclid_agrees_with_fermat():
     for p in (2, 3, 5, 251):
         for a in range(1, p):
             assert inv_mod(a, p) == pow(a, p - 2, p)
+
+
+@pytest.mark.parametrize("p", [2, 5, 251])
+def test_power_table_matches_builtin_pow(p):
+    for e in (0, 1, 2, 125, p - 2, p - 1, p, 1000):
+        assert power_table(e, p).tolist() == [pow(v, e, p) for v in range(p)]
 
 
 def test_inverse_property_randomized():

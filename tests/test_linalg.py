@@ -2,7 +2,7 @@ import pytest
 
 from geg.errors import SingularMatrixError
 from geg.field import RandomSource
-from geg.linalg import MatrixFp, all_matrices, companion_matrix
+from geg.linalg import MatrixFp, all_matrices, companion_matrix, inv_stack
 from geg.polyfield import PolyFp
 
 from oracles import (
@@ -10,6 +10,7 @@ from oracles import (
     charpoly_by_cofactor,
     charpoly_by_interpolation,
     naive_det,
+    naive_inv,
     naive_matmul,
     naive_matpow,
 )
@@ -135,6 +136,38 @@ class TestInvDet:
         for m in mats:
             brute = next(x for x in all_matrices(2, 3) if m @ x == ident)
             assert m.inv() == brute
+
+
+class TestInvStack:
+    def test_exhaustive_gl2_f3_matches_naive(self):
+        # every invertible 2x2 over F_3 in one stack: the 12 with a zero top-left entry need a row swap
+        rows = [r for r in all_square_matrices(2, 3) if naive_inv(r, 3) is not None]
+        assert len(rows) == 48
+        assert inv_stack(rows, 3).tolist() == [naive_inv(r, 3) for r in rows]
+
+    @pytest.mark.parametrize("d, p", [(3, 5), (4, 7), (8, 251), (16, 251)])
+    def test_random_stack_matches_naive(self, d, p):
+        rng = RandomSource.deterministic(d * p)
+        rows = [MatrixFp.random(rng, d, p).tolist() for _ in range(60)]
+        rows = [r for r in rows if naive_inv(r, p) is not None]
+        assert inv_stack(rows, p).tolist() == [naive_inv(r, p) for r in rows]
+
+    @pytest.mark.parametrize("index", [0, 17, 39])
+    def test_one_singular_matrix_fails_the_stack(self, index):
+        rng = RandomSource.deterministic(index)
+        stack = [MatrixFp.random_invertible(rng, 8, 251).tolist() for _ in range(40)]
+        stack[index][3] = stack[index][5]  # two equal rows
+        assert naive_inv(stack[index], 251) is None
+        with pytest.raises(SingularMatrixError, match=f"matrix {index} of the stack"):
+            inv_stack(stack, 251)
+
+    def test_unstack_views_checked_entries(self):
+        mats = MatrixFp.unstack([[[1, 2], [3, 4]], [[0, 1], [1, 0]]], 5)
+        assert [m.tolist() for m in mats] == [[[1, 2], [3, 4]], [[0, 1], [1, 0]]]
+        with pytest.raises(ValueError):
+            mats[0].array[0, 0] = 2
+        with pytest.raises(ValueError):
+            MatrixFp.unstack([[[1, 5], [0, 1]]], 5)
 
 
 class TestPow:
