@@ -6,6 +6,11 @@ parameter recursively re-derived per cipher session, plus the analysis
 toolkit for the underlying algebra.
 """
 
+import os
+import sys
+if "numpy" not in sys.modules:  # no float products here: BLAS threads only cost start-up and exit
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .commuting import CommutingContext, DiagonalSpec, commutes
 from .errors import (
     CodecError,

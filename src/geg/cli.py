@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage, 3 I/O failure, 4 wire/codec failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import struct
 import sys
@@ -424,6 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--in", dest="input", required=True, metavar="PATH")
         sp.add_argument("--out", dest="output", required=True, metavar="PATH")
 
+    def at_least(low: int):
+        def count(text: str) -> int:
+            if int(text) < low:
+                raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+            return int(text)
+        return count
+
     p_demo = sub.add_parser("demo", help="run a full two-party transcript in-process")
     add_common(p_demo)
     p_demo.set_defaults(func=run_demo)
@@ -444,14 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time the four protocol phases")
     add_common(p_bench)
-    p_bench.add_argument("--iterations", type=int, default=1000)
+    p_bench.add_argument("--iterations", type=at_least(1), default=1000)
     p_bench.add_argument("--format", choices=("text", "kv"), default="text")
     p_bench.set_defaults(func=run_bench)
 
     p_an = sub.add_parser("analyze", help="cardinality and singularity report")
     p_an.add_argument("--dim", type=int, choices=range(2, 17), default=8, metavar="{2..16}")
     add_seed(p_an)
-    p_an.add_argument("--iterations", type=int, default=10_000,
+    p_an.add_argument("--iterations", type=at_least(0), default=10_000,
                       help="monte-carlo trials (0 disables)")
     p_an.add_argument("--format", choices=("text", "kv"), default="text")
     p_an.set_defaults(func=run_analyze)
@@ -462,6 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if argv is None:  # the program entry: what is loaded now lives until exit,
+        gc.freeze()  # so the collector, at exit too, need not walk it again
     try:
         return args.func(args)
     except CodecError as exc:

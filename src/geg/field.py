@@ -8,8 +8,8 @@ protocol path).
 
 from __future__ import annotations
 
+import os
 import random
-import secrets
 from functools import lru_cache
 
 import numpy as np
@@ -86,7 +86,7 @@ class RandomSource:
 
     @classmethod
     def crypto(cls) -> "RandomSource":
-        return cls(secrets.randbits, secrets.token_bytes, "cryptographic")
+        return cls(random.SystemRandom().getrandbits, os.urandom, "cryptographic")
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection on fixed-width bit draws."""

@@ -404,6 +404,18 @@ class TestBenchAndAnalyze:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bench", "--iterations", "0"], ["bench", "--iterations", "-3"],
+         ["analyze", "--iterations", "-1"], ["analyze", "--iterations", "many"]],
+    )
+    def test_bad_iterations_is_usage_error(self, capsys, argv):
+        # bench divides by the count and would print a budget verdict for no run
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "argument --iterations" in capsys.readouterr().err
+
     def test_bad_seed_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["demo", "--seed", "zz"])
         assert code == cli.EXIT_USAGE
