@@ -23,7 +23,6 @@ from .errors import (
     PaddingError,
     ProtocolError,
     SingularMatrixError,
-    UnsupportedModulusError,
 )
 from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp, companion_matrix
@@ -67,7 +66,6 @@ __all__ = [
     "ProtocolError",
     "RandomSource",
     "SingularMatrixError",
-    "UnsupportedModulusError",
     "commutes",
     "companion_matrix",
     "count_irreducible_monic",

@@ -129,7 +129,7 @@ def load_state(path: Path) -> Entity:
     off = 12
     mats = []
     for _ in range(4):
-        mats.append(wire.bytes_to_matrix(blob[off : off + sq], d, p))
+        mats.append(wire.bytes_to_matrix(blob[off : off + sq], d))
         off += sq
     if blob[off] != PRIVATE_MARKER:
         raise FrameMagicError(f"{path}: private section marker missing")
@@ -247,13 +247,13 @@ def run_encrypt(args) -> int:
     entity = _load_state_for(args)
     rng = _rng_from(args.seed)
     data = Path(args.input).read_bytes()
-    blocks = wire.encode_plaintext(data, entity.d, entity.p)
+    blocks = wire.encode_plaintext(data, entity.d)
 
     def frames():
         yield wire.frame(wire.context_message(entity.d, entity.p))
         for start in range(0, len(blocks), BATCH_BLOCKS):
-            plains = np.stack([b.array for b in blocks[start : start + BATCH_BLOCKS]])
-            yield wire.cipher_frames(*entity.encrypt_blocks(plains, rng))
+            batch = blocks[start : start + BATCH_BLOCKS]
+            yield wire.cipher_frames(*entity.encrypt_blocks(batch, rng))
 
     _write_atomic(Path(args.output), frames())
     print(f"encrypted {len(data)} bytes into {len(blocks)} blocks -> {args.output}")
@@ -276,7 +276,7 @@ def run_decrypt(args) -> int:
     for start in range(0, len(y1), BATCH_BLOCKS):
         batch = slice(start, start + BATCH_BLOCKS)
         plains[batch] = entity.decrypt_blocks(y1[batch], y2[batch])
-    data = wire.decode_plaintext(MatrixFp.unstack(plains, p))
+    data = wire.decode_plaintext(plains)
     _write_atomic(Path(args.output), [data])
     print(f"decrypted {len(plains)} blocks into {len(data)} bytes -> {args.output}")
     return EXIT_OK

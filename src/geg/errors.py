@@ -44,7 +44,3 @@ class PaddingError(CodecError):
 
 class CorruptBlockError(CodecError):
     """A decoded block does not represent valid packed plaintext."""
-
-
-class UnsupportedModulusError(CodecError):
-    """The byte codec only supports moduli that fit a single byte."""

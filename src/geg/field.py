@@ -27,19 +27,11 @@ def validate_prime(p: int) -> int:
 
 
 def inv_mod(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p via the extended Euclidean algorithm."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("inverse of zero")
-    lo, hi = a, p
-    s_lo, s_hi = 1, 0
-    while lo > 1:
-        q = hi // lo
-        s_lo, s_hi = s_hi - q * s_lo, s_lo
-        lo, hi = hi - q * lo, lo
-    if lo != 1:
-        raise ZeroDivisionError(f"{a} has no inverse mod {p}")
-    return s_lo % p
+    """Multiplicative inverse of a mod p; ZeroDivisionError if there is none."""
+    try:
+        return pow(a, -1, p)
+    except ValueError:
+        raise ZeroDivisionError(f"{a} has no inverse mod {p}") from None
 
 
 @lru_cache(maxsize=None)  # callers pass e in [1, p-1]: at most p-1 tables per modulus

@@ -30,6 +30,9 @@ class MatrixFp:
     """Immutable d-by-d matrix over GF(p); may be singular, GL membership is checked not assumed."""
 
     __slots__ = ("_a", "p")
+    # numpy defers every ufunc and operator to MatrixFp, so `ndarray @ m`
+    # raises TypeError rather than returning unreduced integers
+    __array_ufunc__ = None
 
     def __init__(self, entries, p: int = DEFAULT_PRIME):
         _check_modulus(p)
@@ -77,23 +80,6 @@ class MatrixFp:
             if m.det() != 0:
                 return m
 
-    @classmethod
-    def unstack(cls, stack, p: int = DEFAULT_PRIME) -> list["MatrixFp"]:
-        """One matrix per entry of an (N, d, d) stack of residues mod p.
-
-        The stack is checked and copied once; the matrices are read-only
-        views of that copy, so no per-matrix validation or allocation.
-        """
-        _check_modulus(p)
-        a = np.asarray(stack)
-        if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 2:
-            raise ValueError(f"stack of square matrices (d >= 2) required, got shape {a.shape}")
-        if a.size and (a.min() < 0 or a.max() >= p):
-            raise ValueError(f"stack entries must be residues mod {p}")
-        arr = a.astype(np.uint8)
-        arr.setflags(write=False)
-        return [cls._wrap(m, p) for m in arr]
-
     # -- views -------------------------------------------------------------
 
     @property
@@ -104,6 +90,10 @@ class MatrixFp:
     def array(self) -> np.ndarray:
         """Read-only uint8 view, row-major."""
         return self._a
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The entries for numpy: a MatrixFp, or a list of them, is an array-like."""
+        return np.array(self._a, dtype=dtype, copy=copy)
 
     def tolist(self) -> list[list[int]]:
         return self._a.astype(int).tolist()

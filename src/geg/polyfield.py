@@ -251,7 +251,8 @@ def count_irreducible_monic(degree: int, p: int = DEFAULT_PRIME) -> int:
     for r in range(1, degree + 1):
         if degree % r == 0:
             total += _mobius(r) * p ** (degree // r)
-    assert total % degree == 0
+    if total % degree:
+        raise ArithmeticError(f"necklace sum {total} is not divisible by degree {degree}")
     return total // degree
 
 

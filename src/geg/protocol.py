@@ -165,8 +165,7 @@ class Entity:
         k2 = rng.nonzero(self.p)
         self._initial_exponents = (k1, k2)
         self._eigenvalues = DiagonalSpec.random(rng, self.d, self.p)
-        a_k1, a_k2 = self._powers(self._eigenvalues, k1, k2)
-        return a_k1 @ self.generator @ a_k2
+        return self._sandwich(self.generator, (k1, k2))
 
     def derive_session_key(self, peer_token: MatrixFp) -> None:
         """Combine the peer's setup token into the first common key."""
@@ -174,14 +173,15 @@ class Entity:
             raise ProtocolError("derive_session_key requires keygen on a fresh entity")
         if peer_token.det() == 0:
             raise ProtocolError("peer token is singular")
-        a_k1, a_k2 = self._powers(self._eigenvalues, *self._initial_exponents)
-        self._set_key(a_k1 @ peer_token @ a_k2)
+        self._set_key(self._sandwich(peer_token, self._initial_exponents))
         self.peer_token = peer_token
         self.phase = Phase.KEYED
 
-    def _powers(self, spec: DiagonalSpec, e1: int, e2: int) -> tuple[MatrixFp, MatrixFp]:
-        # (X**e1, X**e2) for the subgroup element X with eigenvalues `spec`
-        return self.context.conjugate(spec, e1), self.context.conjugate(spec, e2)
+    def _sandwich(self, x: MatrixFp, exponents: tuple[int, int]) -> MatrixFp:
+        """A^e1 x A^e2 for this entity's private element A, (e1, e2) = exponents."""
+        ctx = self.context
+        weights = self._sandwich_weights(np.array(self._eigenvalues.values), exponents)
+        return MatrixFp(ctx.from_eigenbasis(weights * ctx.to_eigenbasis(x) % self.p), self.p)
 
     def _set_key(self, key: MatrixFp) -> None:
         # the exponent pair is always the one extracted from the current key
@@ -200,8 +200,7 @@ class Entity:
         self.context = CommutingContext(k_m @ self.basis @ k_n)
         self.generator = k_m @ self.generator @ k_n
         self.peer_token = None  # previous session's token is stale now
-        a_m, a_n = self._powers(self._eigenvalues, m2, n2)
-        return a_m @ self.generator @ a_n
+        return self._sandwich(self.generator, (m2, n2))
 
     def open_session(self) -> MatrixFp:
         """Start a new cipher session; returns the token to send.
@@ -252,13 +251,15 @@ class Entity:
         if plains.ndim != 3 or plains.shape[1:] != (self.d, self.d):
             raise ValueError("plaintext blocks have wrong dimensions")
         p, ctx = self.p, self.context
+        if plains.dtype.kind not in "iu" or plains.min(initial=0) < 0 or plains.max(initial=0) >= p:
+            raise ValueError(f"plaintext block entries must be residues in [0, {p})")
         ephemeral = np.array(
             [rng.distinct_nonzero(self.d, p) for _ in range(len(plains))], dtype=np.int64
         ).reshape(-1, self.d)
         # J^m X J^n for X in (G, B'), B' the peer's session token, for every
         # block at once: y1 = J^m G J^n and y2 = H (J^m B' J^n)
         public = ctx.to_eigenbasis(np.stack([self.generator.array, self.peer_token.array]))
-        weights = self._sandwich_weights(ephemeral)[:, np.newaxis]
+        weights = self._sandwich_weights(ephemeral, self.exponents)[:, np.newaxis]
         sandwiches = ctx.from_eigenbasis(weights * public % p)
         y1, mask = sandwiches[:, 0], sandwiches[:, 1]
         y2 = plains.astype(np.int64) @ mask % p
@@ -274,7 +275,7 @@ class Entity:
             raise ValueError("cipher blocks have wrong dimensions")
         p, ctx = self.p, self.context
         # B^m y1 B^n in the eigenbasis; y2 (B^m y1 B^n)^-1 = y2 P (that)^-1 P^-1
-        weights = self._sandwich_weights(np.array(self._eigenvalues.values, dtype=np.int64))
+        weights = self._sandwich_weights(np.array(self._eigenvalues.values), self.exponents)
         masked = weights * ctx.to_eigenbasis(y1) % p
         try:
             unmask = inv_stack(masked, p)
@@ -282,21 +283,22 @@ class Entity:
             raise ProtocolError("malformed ciphertext: masked generator is singular") from exc
         return (y2.astype(np.int64) @ ctx.from_eigenbasis(unmask) % p).astype(np.uint8)
 
-    def _sandwich_weights(self, eigenvalues: np.ndarray) -> np.ndarray:
+    def _sandwich_weights(self, eigenvalues: np.ndarray, exponents: tuple[int, int]) -> np.ndarray:
         """outer(λ^m, λ^n) for each eigenvalue list λ (the last axis), with
-        (m, n) the session exponents.
+        (m, n) = exponents.
 
         For Z = P diag(λ) P^-1, Z^m X Z^n = P (outer(λ^m, λ^n) ∘ X~) P^-1
         where X~ = P^-1 X P, so a sandwich costs no matrix power.
         """
-        m_powers, n_powers = (power_table(e, self.p)[eigenvalues] for e in self.exponents)
+        m_powers, n_powers = (power_table(e, self.p)[eigenvalues] for e in exponents)
         return m_powers[..., :, np.newaxis] * n_powers[..., np.newaxis, :] % self.p
 
-    def encrypt_block(self, plain: MatrixFp, rng: RandomSource) -> CipherBlock:
-        """Encrypt one matrix block: the N=1 case of encrypt_blocks."""
-        if plain.p != self.p:
+    def encrypt_block(self, plain, rng: RandomSource) -> CipherBlock:
+        """Encrypt one (d, d) block, a MatrixFp or any array-like of residues:
+        the N=1 case of encrypt_blocks."""
+        if isinstance(plain, MatrixFp) and plain.p != self.p:
             raise ValueError("plaintext block has wrong modulus")
-        y1, y2 = self.encrypt_blocks(plain.array[np.newaxis], rng)
+        y1, y2 = self.encrypt_blocks([plain], rng)
         return CipherBlock(MatrixFp(y1[0], self.p), MatrixFp(y2[0], self.p))
 
     def decrypt_block(self, block: CipherBlock) -> MatrixFp:

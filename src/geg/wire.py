@@ -42,7 +42,6 @@ from .errors import (
     FrameTypeError,
     FrameValueError,
     PaddingError,
-    UnsupportedModulusError,
 )
 from .linalg import MatrixFp
 from .protocol import CipherBlock
@@ -140,20 +139,15 @@ def iter_frames(data: bytes) -> Iterator[WireMessage]:
 
 def matrix_to_bytes(m: MatrixFp) -> bytes:
     """Row-major, one byte per entry; bijective with the entry grid."""
-    if m.p > 256:
-        raise UnsupportedModulusError("one-byte matrix coding requires p <= 256")
     return m.array.tobytes()
 
 
-def bytes_to_matrix(data: bytes, d: int, p: int = 251) -> MatrixFp:
-    if p > 256:
-        raise UnsupportedModulusError("one-byte matrix coding requires p <= 256")
+def bytes_to_matrix(data: bytes, d: int) -> MatrixFp:
     if len(data) != d * d:
         raise FrameLengthError(f"expected {d * d} matrix bytes, got {len(data)}")
-    arr = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-    if (arr >= p).any():
-        raise FrameValueError(f"matrix byte out of range for p={p}")
-    return MatrixFp(arr.reshape(d, d), p)
+    if max(data, default=0) >= _PACK_BASE:
+        raise FrameValueError("matrix byte out of range (must be < 251)")
+    return MatrixFp(np.frombuffer(data, dtype=np.uint8).reshape(d, d))
 
 
 # -- message helpers -----------------------------------------------------------
@@ -164,10 +158,10 @@ def matrix_message(msg_type: int, m: MatrixFp) -> WireMessage:
     return WireMessage(msg_type, m.d, matrix_to_bytes(m))
 
 
-def matrix_from_message(msg: WireMessage, p: int = 251) -> MatrixFp:
+def matrix_from_message(msg: WireMessage) -> MatrixFp:
     if _MATRIX_COUNT.get(msg.msg_type) != 1:
         raise FrameTypeError(f"type 0x{msg.msg_type:02x} does not carry a single matrix")
-    return bytes_to_matrix(msg.payload, msg.d, p)
+    return bytes_to_matrix(msg.payload, msg.d)
 
 
 def cipher_block_message(block: CipherBlock) -> WireMessage:
@@ -178,13 +172,13 @@ def cipher_block_message(block: CipherBlock) -> WireMessage:
     )
 
 
-def cipher_block_from_message(msg: WireMessage, p: int = 251) -> CipherBlock:
+def cipher_block_from_message(msg: WireMessage) -> CipherBlock:
     if msg.msg_type != MSG_CIPHER_BLOCK:
         raise FrameTypeError("not a cipher-block message")
     half = msg.d * msg.d
     return CipherBlock(
-        bytes_to_matrix(msg.payload[:half], msg.d, p),
-        bytes_to_matrix(msg.payload[half:], msg.d, p),
+        bytes_to_matrix(msg.payload[:half], msg.d),
+        bytes_to_matrix(msg.payload[half:], msg.d),
     )
 
 
@@ -254,14 +248,13 @@ def block_capacity(d: int) -> int:
     return cap
 
 
-def encode_plaintext(data: bytes, d: int = 8, p: int = 251) -> list[MatrixFp]:
-    """Pack bytes into message matrices at 7 bytes per 8 entries, then pad.
+def encode_plaintext(data: bytes, d: int = 8) -> np.ndarray:
+    """Pack bytes into an (N, d, d) uint8 stack of message blocks at 7 bytes
+    per 8 entries, then pad.
 
     Padding is always appended (a full final block gains one extra all-pad
     block), so decoding is unambiguous for every input length including zero.
     """
-    if p != _PACK_BASE:
-        raise UnsupportedModulusError("block codec is defined for p = 251")
     cap = block_capacity(d)
     pad = cap - len(data) % cap
     chunks = np.frombuffer(data + bytes([pad]) * pad, dtype=np.uint8).reshape(-1, _PACK_CHUNK)
@@ -270,18 +263,23 @@ def encode_plaintext(data: bytes, d: int = 8, p: int = 251) -> list[MatrixFp]:
     words[:, 1:] = chunks
     digits = words.view(">u8") // _PLACES
     digits %= _PACK_BASE
-    return MatrixFp.unstack(digits.reshape(-1, d, d), p)
+    return digits.reshape(-1, d, d).astype(np.uint8)
 
 
-def decode_plaintext(blocks: list[MatrixFp]) -> bytes:
-    """Inverse of encode_plaintext; validates digit groups and padding."""
-    if not blocks:
-        raise CorruptBlockError("no blocks to decode")
-    d = blocks[0].d
-    cap = block_capacity(d)
-    if any(block.d != d for block in blocks):
-        raise CorruptBlockError("inconsistent block dimensions")
-    digits = np.stack([block.array for block in blocks]).reshape(-1, _DIGITS_PER_CHUNK)
+def decode_plaintext(blocks) -> bytes:
+    """Inverse of encode_plaintext, on an (N, d, d) stack or anything numpy
+    reads as one (a list of MatrixFp, say); validates the shape, the digits,
+    the digit groups and the padding."""
+    try:
+        stack = np.asarray(blocks)
+    except ValueError as exc:  # a ragged sequence
+        raise CorruptBlockError("blocks of unequal shape") from exc
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
+        raise CorruptBlockError(f"a stack of square blocks required, got shape {stack.shape}")
+    cap = block_capacity(stack.shape[1])
+    if stack.dtype.kind not in "iu" or stack.min() < 0 or stack.max() >= _PACK_BASE:
+        raise CorruptBlockError("block entries must be digits in [0, 251)")
+    digits = stack.astype(np.uint8, copy=False).reshape(-1, _DIGITS_PER_CHUNK)
     # einsum casts to uint64 in buffered slices; `@` would copy all digits as uint64
     values = np.einsum("ij,j->i", digits, _PLACES)
     if (values >> 8 * _PACK_CHUNK).any():

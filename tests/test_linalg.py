@@ -161,14 +161,6 @@ class TestInvStack:
         with pytest.raises(SingularMatrixError, match=f"matrix {index} of the stack"):
             inv_stack(stack, 251)
 
-    def test_unstack_views_checked_entries(self):
-        mats = MatrixFp.unstack([[[1, 2], [3, 4]], [[0, 1], [1, 0]]], 5)
-        assert [m.tolist() for m in mats] == [[[1, 2], [3, 4]], [[0, 1], [1, 0]]]
-        with pytest.raises(ValueError):
-            mats[0].array[0, 0] = 2
-        with pytest.raises(ValueError):
-            MatrixFp.unstack([[[1, 5], [0, 1]]], 5)
-
 
 class TestPow:
     def test_power_zero_is_identity(self):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from geg.commuting import commutes
@@ -281,6 +282,31 @@ class TestCipher:
         start_session(alice, bob)
         plain = MatrixFp.random(rng, 16, 251)
         assert bob.decrypt_block(alice.encrypt_block(plain, rng)) == plain
+
+    @pytest.mark.parametrize("entry", [-1, 251, 255, 1000])
+    def test_entries_outside_the_field_rejected(self, entry):
+        # accepted, they would decrypt to entry mod 251 without an error
+        alice, bob, rng = make_pair(25)
+        start_session(alice, bob)
+        plains = np.zeros((3, 8, 8), dtype=np.int64)
+        plains[1, 2, 3] = entry
+        with pytest.raises(ValueError, match="residues"):
+            alice.encrypt_blocks(plains, rng)
+
+    def test_block_of_another_modulus_rejected(self):
+        alice, bob, rng = make_pair(26)
+        start_session(alice, bob)
+        with pytest.raises(ValueError, match="modulus"):
+            alice.encrypt_block(MatrixFp.identity(8, 7), rng)
+
+    def test_block_may_be_any_array_like(self):
+        alice, bob, _ = make_pair(27)
+        start_session(alice, bob)
+        plain = MatrixFp.random(RandomSource.deterministic(28), 8, 251)
+        blocks = [alice.encrypt_block(form, RandomSource.deterministic(29))
+                  for form in (plain, plain.array, plain.tolist())]
+        assert blocks[0] == blocks[1] == blocks[2]
+        assert bob.decrypt_block(blocks[0]) == plain
 
 
 class TestRestore:

@@ -1,0 +1,21 @@
+"""Checks on the source text of `geg` itself."""
+
+import ast
+from pathlib import Path
+
+import geg
+
+SRC = Path(geg.__file__).resolve().parent
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert, so an invariant it checks would go unchecked
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

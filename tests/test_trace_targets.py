@@ -1,30 +1,35 @@
-"""The benchmark's span tracer wraps names in `geg` by string; keep them resolvable.
+"""What the benchmark in `perfbench/` relies on in `geg`.
 
-A renamed or deleted traced name would otherwise fail only a traced benchmark
+The span tracer wraps names in `geg` by string; keep them resolvable.  A
+renamed or deleted traced name would otherwise fail only a traced benchmark
 run (`perfbench/run.py --trace 1`), not this suite.  The same tracer also
 pins which calls a decryption makes once per file rather than once per block.
+The in-process churn workload calls the single-block cipher API and the
+plaintext codec directly, so one of its pairings runs here too.
 """
 
 import importlib
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from geg import cli, wire
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("name, module_name, class_name, attr", load_tracer().TARGETS)
+@pytest.mark.parametrize("name, module_name, class_name, attr", load("tracer").TARGETS)
 def test_target_resolves(name, module_name, class_name, attr):
     module = importlib.import_module(module_name)
     owner = getattr(module, class_name) if class_name else module
@@ -33,7 +38,7 @@ def test_target_resolves(name, module_name, class_name, attr):
 
 def test_decrypt_session_work_does_not_grow_with_blocks(tmp_path, capsys):
     # subgroup conjugates, bases and scalar inverses are per file, not per block
-    tracing = load_tracer()
+    tracing = load("tracer")
     prefix = tmp_path / "kx"
     assert cli.main(["keyexchange", "--seed", "beef", "--state", str(prefix)]) == 0
     counts = {}
@@ -54,3 +59,13 @@ def test_decrypt_session_work_does_not_grow_with_blocks(tmp_path, capsys):
         counts[blocks] = tracing.summarize(tracer.spans)
     for name in ("commuting.conjugate", "commuting.context_init", "linalg.inv"):
         assert counts[600][name]["calls"] == counts[1][name]["calls"], name
+
+
+def test_session_churn_pairing_is_correct(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports the tracer by name
+    workloads = load("workloads")
+    tally = workloads.Tally()
+    churn = workloads.SessionChurn(1, tally)
+    sessions = churn.pairing(0, churn.new_samples())
+    assert tally.failed == 0, tally.errors
+    assert sessions == churn.UPDATES

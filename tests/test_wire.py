@@ -2,6 +2,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geg import errors, wire
@@ -83,13 +84,13 @@ class TestFraming:
 
     def test_bytes_to_matrix_rejects_out_of_range(self):
         with pytest.raises(errors.FrameValueError):
-            wire.bytes_to_matrix(bytes([251]) + bytes(63), 8, 251)
+            wire.bytes_to_matrix(bytes([251]) + bytes(63), 8)
 
     def test_matrix_bytes_round_trip(self):
         rng = RandomSource.deterministic(1)
         for d in (2, 8, 16):
             m = MatrixFp.random(rng, d, 251)
-            assert wire.bytes_to_matrix(wire.matrix_to_bytes(m), d, 251) == m
+            assert wire.bytes_to_matrix(wire.matrix_to_bytes(m), d) == m
 
 
 class TestFixtures:
@@ -171,9 +172,36 @@ class TestBlockCodec:
 
     def test_expansion_rate(self):
         blocks = wire.encode_plaintext(bytes(56), 8)
-        total = sum(2 * b.d * b.d for b in blocks)
+        total = 2 * blocks[0].size * len(blocks)
         # 56 data bytes -> one data block + one pad block, 128 cipher bytes each
         assert total == 256
+
+    def test_stack_and_matrix_list_decode_alike(self):
+        rnd = random.Random(13)
+        for d in (8, 16):
+            stack = wire.encode_plaintext(rnd.randbytes(500), d)
+            assert stack.dtype == np.uint8 and stack.shape[1:] == (d, d)
+            as_list = [MatrixFp(b, 251) for b in stack]
+            assert wire.decode_plaintext(as_list) == wire.decode_plaintext(stack)
+
+    def test_malformed_stack_rejected(self):
+        good = wire.encode_plaintext(b"hi", 8)
+        ragged = [MatrixFp(good[0], 251), MatrixFp.identity(16, 251)]
+        ragged_rows = [good[0].tolist(), good[0].tolist()[:4]]
+        out_of_range = good.astype(np.int64)
+        out_of_range[0, 7, 7] = 251
+        for bad in (ragged, ragged_rows, out_of_range, good[:0], good[0],
+                    np.zeros((1, 8, 4), np.uint8)):
+            with pytest.raises(CorruptBlockError):
+                wire.decode_plaintext(bad)
+
+    def test_ndarray_times_matrix_refused(self):
+        # numpy would otherwise multiply the entries as plain integers, unreduced
+        m = MatrixFp.identity(8, 251)
+        with pytest.raises(TypeError):
+            np.ones((8, 8), dtype=np.int64) @ m
+        assert np.stack([m, m]).shape == (2, 8, 8)
+        assert not np.asarray(m).flags.writeable  # a view, so the matrix stays immutable
 
     def test_corrupt_digit_group_detected(self):
         blocks = wire.encode_plaintext(bytes(10), 8)
@@ -240,7 +268,3 @@ class TestBlockCodec:
                 outcomes.add(bytes)
                 assert wire.decode_plaintext([MatrixFp(b, 251) for b in blocks]) == expected
         assert outcomes == {bytes, CorruptBlockError, PaddingError}
-
-    def test_unsupported_modulus(self):
-        with pytest.raises(errors.UnsupportedModulusError):
-            wire.encode_plaintext(b"hi", 8, p=7)
