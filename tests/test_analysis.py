@@ -95,6 +95,12 @@ class TestSingularProbability:
         est = singular_probability(2, 2, 20_000, rng)
         assert abs(est.monte_carlo - 0.625) < 0.02
 
+    def test_monte_carlo_seeded_value_and_stream(self):
+        # pins both the estimate and how much of the stream the draws consume
+        rng = RandomSource.deterministic(7)
+        assert singular_probability(8, 251, 3000, rng).monte_carlo == 11 / 3000
+        assert rng.randbelow(2**30) == 1028762628
+
 
 class TestGsdp:
     def test_generated_instance_verifies(self):

@@ -57,3 +57,9 @@ def test_encrypt_ciphertext(capsys, tmp_path, dim):
     assert sha256(enc.read_bytes()) == GOLDEN[f"encrypt_d{dim}"]
     run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc), "--out", str(dst)])
     assert dst.read_bytes() == PLAIN
+
+
+def test_analyze_monte_carlo_report(capsys):
+    out = run(capsys, ["analyze", "--dim", "8", "--seed", "07", "--iterations", "3000",
+                       "--format", "kv"])
+    assert sha256(out.encode()) == GOLDEN["analyze_d8_kv"]
