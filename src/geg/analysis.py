@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .commuting import CommutingContext, DiagonalSpec
 from .field import RandomSource, validate_prime
-from .linalg import MatrixFp
+from .linalg import MatrixFp, det_stack
 from .protocol import Entity
 
 
@@ -103,7 +103,10 @@ def singular_probability(
     closed form alongside."""
     if trials < 1:
         raise ValueError("trials >= 1 required")
-    hits = sum(MatrixFp.random(rng, d, p).det() == 0 for _ in range(trials))
+    hits = 0
+    for start in range(0, trials, 256):  # bounded memory at any trial count
+        stack = [MatrixFp.random(rng, d, p) for _ in range(min(256, trials - start))]
+        hits += int((det_stack(stack, p) == 0).sum())
     return SingularEstimate(hits / trials, singular_probability_closed(d, p))
 
 

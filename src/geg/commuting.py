@@ -30,10 +30,12 @@ class DiagonalSpec:
     p: int = DEFAULT_PRIME
 
     def __post_init__(self):
+        if len(self.values) < 2:
+            raise ValueError("at least two eigenvalues required")
+        if np.asarray(self.values).dtype.kind not in "iu":
+            raise ValueError("eigenvalues must be integers")
         vals = tuple(int(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        if len(vals) < 2:
-            raise ValueError("at least two eigenvalues required")
         if any(not 0 < v < self.p for v in vals):
             raise ValueError("eigenvalues must lie in [1, p-1]")
         if len(set(vals)) != len(vals):
@@ -76,18 +78,13 @@ class CommutingContext:
     def p(self) -> int:
         return self.basis.p
 
-    def conjugate(self, spec: DiagonalSpec, e: int = 1) -> MatrixFp:
-        """basis @ diag(v**e mod p for v in spec) @ basis**-1: the e-th power
-        of the subgroup element with eigenvalues `spec`.
-
-        Powers act on the eigenvalues alone, so this is the one place a
-        subgroup element is raised to a power; no matrix square-and-multiply.
-        """
+    def conjugate(self, spec: DiagonalSpec) -> MatrixFp:
+        """basis @ diag(spec) @ basis**-1: the subgroup element with
+        eigenvalues `spec`.  Powers act on the eigenvalues alone, so the
+        protocol raises elements to powers in the eigenbasis, not here."""
         if spec.d != self.d or spec.p != self.p:
             raise ValueError("diagonal spec does not match context parameters")
-        powered = np.array([pow(v, e, self.p) for v in spec.values], dtype=np.int64)
-        # basis @ diag(powered) scales the basis columns; entries stay below 251**2
-        return MatrixFp(self.basis.array * powered, self.p) @ self.basis_inv
+        return MatrixFp(self.from_eigenbasis(np.diag(spec.values)), self.p)
 
     def to_eigenbasis(self, x) -> np.ndarray:
         """basis**-1 @ x @ basis for a matrix or an (N, d, d) stack, as int64
@@ -111,8 +108,9 @@ class CommutingContext:
         """True iff z is an invertible conjugated diagonal of this context."""
         if z.d != self.d or z.p != self.p:
             return False
-        inner = self.basis_inv @ z @ self.basis
-        return inner.is_diagonal() and all(int(v) != 0 for v in inner.main_diagonal())
+        inner = self.to_eigenbasis(z)
+        # every nonzero entry on the diagonal, and all d of them nonzero
+        return np.count_nonzero(inner) == np.count_nonzero(np.diagonal(inner)) == self.d
 
 
 def commutes(a: MatrixFp, b: MatrixFp) -> bool:

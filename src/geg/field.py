@@ -26,25 +26,28 @@ def validate_prime(p: int) -> int:
     return p
 
 
-def inv_mod(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p; ZeroDivisionError if there is none."""
-    try:
-        return pow(a, -1, p)
-    except ValueError:
-        raise ZeroDivisionError(f"{a} has no inverse mod {p}") from None
+def power(x, e: int, mul, one):
+    """x**e by square and multiply, under an associative `mul` whose identity
+    is `one`: the one exponentiation loop for residues, matrices and
+    polynomials alike."""
+    if e < 0:
+        raise ValueError("negative exponents unsupported; invert first")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
 
 
 @lru_cache(maxsize=None)  # callers pass e in [1, p-1]: at most p-1 tables per modulus
 def power_table(e: int, p: int) -> np.ndarray:
     """Read-only int64 array holding v**e mod p at index v, for every residue
     v: square-and-multiply on the whole array at once."""
-    table = np.ones(p, dtype=np.int64)
-    base = np.arange(p, dtype=np.int64)
-    while e:
-        if e & 1:
-            table = table * base % p
-        e >>= 1
-        base = base * base % p
+    table = power(np.arange(p, dtype=np.int64), e, lambda a, b: a * b % p,
+                  np.ones(p, dtype=np.int64))
     table.setflags(write=False)
     return table
 

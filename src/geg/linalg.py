@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import SingularMatrixError
-from .field import DEFAULT_PRIME, RandomSource, inv_mod, power_table, validate_prime
+from .field import DEFAULT_PRIME, RandomSource, power, power_table, validate_prime
 
 MAX_BYTE_PRIME = 251
 
@@ -36,7 +36,10 @@ class MatrixFp:
 
     def __init__(self, entries, p: int = DEFAULT_PRIME):
         _check_modulus(p)
-        a = np.asarray(entries, dtype=np.int64)
+        a = np.asarray(entries)
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"integer entries required, got dtype {a.dtype}")
+        a = a.astype(np.int64, copy=False)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"square matrix required, got shape {a.shape}")
         if a.shape[0] < 2:
@@ -108,11 +111,6 @@ class MatrixFp:
         """Entries from the lower-left corner (d-1, 0) up to the upper-right (0, d-1)."""
         return np.diagonal(np.flipud(self._a)).astype(np.int64)
 
-    def is_diagonal(self) -> bool:
-        off = self._a.astype(np.int64).copy()
-        np.fill_diagonal(off, 0)
-        return not off.any()
-
     # -- arithmetic --------------------------------------------------------
 
     def _compat(self, other: "MatrixFp") -> None:
@@ -130,43 +128,16 @@ class MatrixFp:
 
     def pow(self, e: int) -> "MatrixFp":
         """Square-and-multiply power; e == 0 gives the identity."""
-        if e < 0:
-            raise ValueError("negative exponents unsupported; invert first")
         p = self.p
-        base = self._a.astype(np.int64)
-        result: np.ndarray | None = None
-        while e:
-            if e & 1:
-                result = base.copy() if result is None else (result @ base) % p
-            e >>= 1
-            if e:
-                base = (base @ base) % p
-        if result is None:
-            return MatrixFp.identity(self.d, p)
+        result = power(self._a.astype(np.int64), e, lambda a, b: a @ b % p,
+                       np.eye(self.d, dtype=np.int64))
         return MatrixFp._wrap(result, p)
 
     __pow__ = pow
 
     def det(self) -> int:
-        """Determinant mod p by elimination with first-nonzero pivoting."""
-        p = self.p
-        a = self._a.astype(np.int64).copy()
-        d = self.d
-        det = 1
-        for col in range(d):
-            pivots = np.nonzero(a[col:, col])[0]
-            if pivots.size == 0:
-                return 0
-            row = col + int(pivots[0])
-            if row != col:
-                a[[col, row]] = a[[row, col]]
-                det = -det
-            pivot = int(a[col, col])
-            det = det * pivot % p
-            if col + 1 < d:
-                factors = a[col + 1 :, col] * inv_mod(pivot, p) % p
-                a[col + 1 :] = (a[col + 1 :] - np.outer(factors, a[col])) % p
-        return det % p
+        """Determinant mod p.  The N=1 case of det_stack."""
+        return int(det_stack(self._a[np.newaxis], self.p)[0])
 
     def inv(self) -> "MatrixFp":
         """Inverse; raises SingularMatrixError if det == 0.  The N=1 case of inv_stack."""
@@ -188,39 +159,59 @@ class MatrixFp:
         return f"MatrixFp(d={self.d}, p={self.p})"
 
 
-def inv_stack(stack, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """Inverses mod p of an (N, d, d) stack of matrices, as int64 residues.
-
-    Gauss-Jordan on [A | I] for all N matrices at once: in each column the
-    pivot is the first nonzero entry at or below the diagonal, chosen per
-    matrix.  Raises SingularMatrixError if any matrix of the stack is singular.
-    """
+def _square_stack(stack, p: int) -> np.ndarray:
+    # a fresh int64 array of residues, safe to reduce in place
     a = np.asarray(stack, dtype=np.int64) % p
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"stack of square matrices required, got shape {a.shape}")
-    n, d = a.shape[0], a.shape[1]
-    aug = np.zeros((n, d, 2 * d), dtype=np.int64)
-    aug[:, :, :d] = a
-    aug[:, np.arange(d), d + np.arange(d)] = 1
+    return a
+
+
+def _eliminate(aug: np.ndarray, p: int) -> np.ndarray:
+    """Gauss-Jordan mod p on the first d columns of an (N, d, w) int64 stack
+    of residues, in place, pivoting on the first nonzero entry at or below the
+    diagonal; returns the N determinants of the d-by-d blocks.  The rows of a
+    block whose determinant is 0 are left partly reduced and mean nothing."""
+    n, d = aug.shape[0], aug.shape[1]
     inverse = power_table(p - 2, p)  # v**-1 for nonzero v, p prime
     rows = np.arange(n)
+    det = np.ones(n, dtype=np.int64)
     for col in range(d):
-        nonzero = aug[:, col:, col] != 0
-        found = nonzero.any(axis=1)
-        if not found.all():
-            index = int(np.flatnonzero(~found)[0])
-            raise SingularMatrixError(f"matrix {index} of the stack has no inverse mod {p}")
-        pivot = col + nonzero.argmax(axis=1)
-        if (pivot != col).any():
+        pivot = col + (aug[:, col:, col] != 0).argmax(axis=1)
+        swapped = pivot != col
+        if swapped.any():
             top = aug[:, col].copy()
             aug[:, col] = aug[rows, pivot]
             aug[rows, pivot] = top
-        aug[:, col] = aug[:, col] * inverse[aug[:, col, col]][:, np.newaxis] % p
+            det[swapped] = p - det[swapped]  # a row swap negates the determinant
+        lead = aug[:, col, col]  # 0 exactly where the column has no pivot
+        det = det * lead % p
+        aug[:, col] = aug[:, col] * inverse[lead][:, np.newaxis] % p
         # clear the column in every other row; entries stay below p**2
         factors = aug[:, :, col].copy()
         factors[:, col] = 0
         aug -= factors[:, :, np.newaxis] * aug[:, np.newaxis, col]
         aug %= p
+    return det
+
+
+def det_stack(stack, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """Determinants mod p of an (N, d, d) stack of matrices, as int64 residues."""
+    return _eliminate(_square_stack(stack, p), p)
+
+
+def inv_stack(stack, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """Inverses mod p of an (N, d, d) stack of matrices, as int64 residues.
+
+    Gauss-Jordan on [A | I] for all N matrices at once.  Raises
+    SingularMatrixError naming the lowest index of a singular matrix.
+    """
+    a = _square_stack(stack, p)
+    d = a.shape[1]
+    aug = np.concatenate([a, np.broadcast_to(np.eye(d, dtype=np.int64), a.shape)], axis=2)
+    singular = np.flatnonzero(_eliminate(aug, p) == 0)
+    if singular.size:
+        raise SingularMatrixError(f"matrix {singular[0]} of the stack has no inverse mod {p}")
     return aug[:, :, d:]
 
 

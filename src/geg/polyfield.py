@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import SingularMatrixError
 from .factorint import factorize
-from .field import DEFAULT_PRIME, RandomSource, inv_mod, validate_prime
+from .field import DEFAULT_PRIME, RandomSource, power, validate_prime
 from .linalg import MatrixFp
 
 ORDER_LIMIT = 1 << 64
@@ -65,7 +65,7 @@ class PolyFp:
     def monic(self) -> "PolyFp":
         if self.is_zero or self.is_monic:
             return self
-        scale = inv_mod(self.coeffs[-1], self.p)
+        scale = pow(self.coeffs[-1], -1, self.p)
         return PolyFp([c * scale for c in self.coeffs], self.p)
 
     def _check(self, other: "PolyFp") -> None:
@@ -115,7 +115,7 @@ class PolyFp:
         den = other.coeffs
         if len(rem) < len(den):
             return PolyFp((), p), PolyFp(rem, p)
-        lead_inv = inv_mod(den[-1], p)
+        lead_inv = pow(den[-1], -1, p)
         quot = [0] * (len(rem) - len(den) + 1)
         for shift in range(len(rem) - len(den), -1, -1):
             q = rem[shift + len(den) - 1] * lead_inv % p
@@ -171,17 +171,7 @@ def poly_gcd(a: PolyFp, b: PolyFp) -> PolyFp:
 
 def pow_mod(base: PolyFp, e: int, modulus: PolyFp) -> PolyFp:
     """base**e reduced mod `modulus`, by square and multiply."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = PolyFp.one(base.p)
-    acc = base % modulus
-    while e:
-        if e & 1:
-            result = result * acc % modulus
-        e >>= 1
-        if e:
-            acc = acc * acc % modulus
-    return result
+    return power(base % modulus, e, lambda a, b: a * b % modulus, PolyFp.one(base.p))
 
 
 def is_irreducible(f: PolyFp) -> bool:
@@ -257,6 +247,8 @@ def count_irreducible_monic(degree: int, p: int = DEFAULT_PRIME) -> int:
 
 
 def _order_via(n: int, powers, identity) -> int:
+    if n >= ORDER_LIMIT:
+        raise ValueError("order computation limited to p**d - 1 < 2**64")
     for q in factorize(n):
         while n % q == 0 and powers(n // q) == identity:
             n //= q
@@ -280,18 +272,10 @@ def element_order(a: "MatrixFp | PolyFp", d: int | None = None) -> int:
             raise SingularMatrixError("x is not invertible modulo a multiple of x")
         if d is None:
             d = a.degree
-        n = a.p**d - 1
-        if n >= ORDER_LIMIT:
-            raise ValueError("order computation limited to p**d - 1 < 2**64")
         x = PolyFp.x(a.p)
-        one = PolyFp.one(a.p)
-        return _order_via(n, lambda e: pow_mod(x, e, a), one)
+        return _order_via(a.p**d - 1, lambda e: pow_mod(x, e, a), PolyFp.one(a.p))
     if d is None:
         d = a.d
     if a.det() == 0:
         raise SingularMatrixError("order of a singular matrix is undefined")
-    n = a.p**d - 1
-    if n >= ORDER_LIMIT:
-        raise ValueError("order computation limited to p**d - 1 < 2**64")
-    ident = MatrixFp.identity(a.d, a.p)
-    return _order_via(n, a.pow, ident)
+    return _order_via(a.p**d - 1, a.pow, MatrixFp.identity(a.d, a.p))

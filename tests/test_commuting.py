@@ -21,6 +21,11 @@ class TestDiagonalSpec:
         with pytest.raises(ValueError):
             DiagonalSpec((1, 7), 5)
 
+    @pytest.mark.parametrize("values", [(1.7, 2.2, 3), ("1", "2"), (b"\x01", b"\x02")])
+    def test_rejects_non_integers(self, values):
+        with pytest.raises(ValueError, match="integers"):
+            DiagonalSpec(values, 251)
+
     def test_random_contract(self):
         rng = RandomSource.deterministic(0)
         spec = DiagonalSpec.random(rng, 8, 251)
@@ -64,9 +69,9 @@ class TestContext:
         rng = RandomSource.deterministic(bytes([d]))
         ctx = CommutingContext.random(rng, d, 251)
         spec = DiagonalSpec.random(rng, d, 251)
-        element = ctx.conjugate(spec).tolist()
+        element = ctx.conjugate(spec)
         for e in (0, 1, 2, 125, 249, 250, 251, 1000):
-            assert ctx.conjugate(spec, e).tolist() == naive_matpow(element, e, 251)
+            assert element.pow(e).tolist() == naive_matpow(element.tolist(), e, 251)
         assert {pow(v, 125, 251) for v in spec.values} == {1, 250}
 
     def test_conjugate_dimension_mismatch(self):
@@ -157,3 +162,9 @@ class TestMembership:
         ctx = CommutingContext.random(rng, 4, 251)
         z = ctx.basis @ MatrixFp.diagonal([0, 1, 2, 3], 251) @ ctx.basis_inv
         assert not ctx.is_member(z)
+
+    def test_rejects_conjugate_with_one_off_diagonal_entry(self):
+        rng = RandomSource.deterministic(17)
+        ctx = CommutingContext.random(rng, 4, 251)
+        inner = MatrixFp([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 5], [0, 0, 0, 4]], 251)
+        assert not ctx.is_member(ctx.basis @ inner @ ctx.basis_inv)

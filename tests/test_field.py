@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geg.field import DEFAULT_PRIME, RandomSource, inv_mod, power_table, validate_prime
+from geg.field import DEFAULT_PRIME, RandomSource, power, power_table, validate_prime
 
 
 def test_default_prime():
@@ -17,34 +17,30 @@ def test_nonprime_modulus_rejected():
             validate_prime(n)
 
 
-def test_inverse_known_values():
-    assert inv_mod(1, 251) == 1
-    assert inv_mod(2, 251) == 126
-    assert inv_mod(250, 251) == 250
-    with pytest.raises(ZeroDivisionError):
-        inv_mod(0, 251)
-
-
-def test_inverse_euclid_agrees_with_fermat():
-    # pow(a, -1, p), extended Euclid inside the interpreter, is the shipped
-    # route; Fermat exponentiation is the check
-    for p in (2, 3, 5, 251):
-        for a in range(1, p):
-            assert inv_mod(a, p) == pow(a, p - 2, p)
-
-
 @pytest.mark.parametrize("p", [2, 5, 251])
 def test_power_table_matches_builtin_pow(p):
     for e in (0, 1, 2, 125, p - 2, p - 1, p, 1000):
         assert power_table(e, p).tolist() == [pow(v, e, p) for v in range(p)]
 
 
-def test_inverse_property_randomized():
-    rng = RandomSource.deterministic(7)
-    for p in (251, 65521):
-        for _ in range(200):
-            a = rng.nonzero(p)
-            assert a * inv_mod(a, p) % p == 1
+def test_power_under_any_associative_product():
+    def mul(a, b):
+        return a * b % 251
+
+    for x in (0, 1, 2, 250):
+        for e in (1, 2, 3, 125, 250, 1001):
+            assert power(x, e, mul, 1) == pow(x, e, 251)
+    assert power("ab", 5, str.__add__, "") == "ab" * 5
+
+
+def test_power_zero_returns_one_itself():
+    one = object()
+    assert power(7, 0, lambda a, b: a * b, one) is one
+
+
+def test_power_rejects_negative_exponent():
+    with pytest.raises(ValueError, match="negative"):
+        power(2, -1, lambda a, b: a * b % 251, 1)
 
 
 class TestRandomSource:

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from geg.errors import SingularMatrixError
 from geg.field import RandomSource
-from geg.linalg import MatrixFp, all_matrices, companion_matrix, inv_stack
+from geg.linalg import MatrixFp, all_matrices, companion_matrix, det_stack, inv_stack
 from geg.polyfield import PolyFp
 
 from oracles import (
@@ -32,6 +33,16 @@ class TestConstruction:
     def test_rejects_d_below_two(self):
         with pytest.raises(ValueError):
             MatrixFp([[1]], 5)
+
+    @pytest.mark.parametrize("entries", [
+        [[0.5, 1.9], [1, 1]],
+        [["1", "2"], ["3", "4"]],
+        [[True, False], [False, True]],
+        np.eye(2),
+    ])
+    def test_rejects_non_integer_entries(self, entries):
+        with pytest.raises(ValueError, match="integer entries"):
+            MatrixFp(entries, 251)
 
     def test_rejects_oversized_modulus(self):
         with pytest.raises(ValueError):
@@ -160,6 +171,39 @@ class TestInvStack:
         assert naive_inv(stack[index], 251) is None
         with pytest.raises(SingularMatrixError, match=f"matrix {index} of the stack"):
             inv_stack(stack, 251)
+
+    def test_names_lowest_singular_index_not_earliest_column(self):
+        # matrix 2 has no pivot only in its last column, matrix 5 already in its first
+        rng = RandomSource.deterministic(99)
+        stack = [MatrixFp.random_invertible(rng, 8, 251).tolist() for _ in range(8)]
+        stack[2][7] = stack[2][6]
+        for row in stack[5]:
+            row[0] = 0
+        with pytest.raises(SingularMatrixError, match="matrix 2 of the stack"):
+            inv_stack(stack, 251)
+
+
+class TestDetStack:
+    @pytest.mark.parametrize("p", [2, 3, 7, 251])
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_mixed_stack_matches_cofactor_oracle(self, d, p):
+        rng = RandomSource.deterministic(1000 * d + p)
+        stack = [MatrixFp.random(rng, d, p).tolist() for _ in range(30 if d < 8 else 2)]
+        stack += [MatrixFp.random_invertible(rng, d, p).tolist() for _ in range(2)]
+        equal_rows, zero_column, combined = (MatrixFp.random(rng, d, p).tolist() for _ in range(3))
+        equal_rows[d - 1] = equal_rows[0]
+        for row in zero_column:
+            row[0] = 0
+        combined[d - 1] = [(a + 3 * b) % p for a, b in zip(combined[0], combined[1])]
+        stack = [equal_rows] + stack + [zero_column, combined]
+        dets = det_stack(stack, p).tolist()
+        assert dets == [naive_det(m, p) for m in stack]
+        assert 0 in dets and any(dets)
+        assert [MatrixFp(m, p).det() for m in stack] == dets
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError):
+            det_stack(np.zeros((2, 3, 4), dtype=np.int64), 251)
 
 
 class TestPow:
