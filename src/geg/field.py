@@ -35,7 +35,7 @@ def power(x, e: int, mul, one):
     result = one
     while e:
         if e & 1:
-            result = mul(result, x)
+            result = x if result is one else mul(result, x)  # no product by the identity
         e >>= 1
         if e:
             x = mul(x, x)
