@@ -1,4 +1,6 @@
 import math
+import os
+import random
 
 import numpy as np
 import pytest
@@ -103,3 +105,19 @@ class TestRandomSource:
         vals = rng.array_mod(4096, 251)
         assert vals.min() >= 0 and vals.max() < 251
         assert 0 <= rng.nonzero(251) - 1 < 250
+
+    def test_crypto_array_mod_keeps_os_bytes_below_p_in_order(self, monkeypatch):
+        # a leading run of rejected bytes forces a second draw from the OS
+        stream = b"\xff" * 64 + bytes(range(256)) * 16
+        pos = 0
+
+        def urandom(k):
+            nonlocal pos
+            pos += k
+            return stream[pos - k : pos]
+
+        monkeypatch.setattr(os, "urandom", urandom)
+        monkeypatch.setattr(random, "_urandom", urandom)
+        n = 600
+        expect = [b for b in stream if b < 251][:n]
+        assert RandomSource.crypto().array_mod(n).tolist() == expect

@@ -63,3 +63,12 @@ def test_analyze_monte_carlo_report(capsys):
     out = run(capsys, ["analyze", "--dim", "8", "--seed", "07", "--iterations", "3000",
                        "--format", "kv"])
     assert sha256(out.encode()) == GOLDEN["analyze_d8_kv"]
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("analyze_d16_kv_no_trials", ["--dim", "16", "--iterations", "0", "--format", "kv"]),
+    ("analyze_d8_text_no_trials", ["--dim", "8", "--iterations", "0"]),
+])
+def test_analyze_closed_form_report(capsys, key, argv):
+    out = run(capsys, ["analyze", *argv])
+    assert sha256(out.encode()) == GOLDEN[key]
