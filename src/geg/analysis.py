@@ -8,7 +8,6 @@ cardinalities reach 10**600 at d=16.  Nothing here sits on a protocol path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -16,22 +15,6 @@ from .commuting import CommutingContext, DiagonalSpec
 from .field import RandomSource, validate_prime
 from .linalg import MatrixFp, det_stack
 from .protocol import Entity
-
-
-def log10_int(n: int) -> float:
-    if n <= 0:
-        raise ValueError("positive integer required")
-    with localcontext() as ctx:
-        ctx.prec = 40
-        return float(Decimal(n).log10())
-
-
-def log2_int(n: int) -> float:
-    if n <= 0:
-        raise ValueError("positive integer required")
-    with localcontext() as ctx:
-        ctx.prec = 40
-        return float(Decimal(n).ln() / Decimal(2).ln())
 
 
 def order_gl(d: int, p: int) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import struct
 import sys
@@ -77,7 +78,7 @@ def save_state(path: Path, entity: Entity) -> None:
     blob.append(STATE_TAG)
     blob.append(entity.d)
     blob += struct.pack(">H", entity.p)
-    blob.append(_ROLE_BYTES.get(entity.role, 0x01))
+    blob.append(_ROLE_BYTES[entity.role])
     blob.append(SESSION_OPEN_PHASE)
     blob.append(m)
     blob.append(n)
@@ -347,7 +348,7 @@ def run_bench(args) -> int:
 def run_analyze(args) -> int:
     from . import analysis  # only this subcommand needs it; keeps CLI start-up lean
 
-    d, p = args.dim, 251
+    d, p = args.dim, DEFAULT_PRIME
     gl = analysis.order_gl(d, p)
     counts = analysis.ambient_counts(d, p)
     subgroup = analysis.subgroup_orders(d, p)
@@ -356,19 +357,19 @@ def run_analyze(args) -> int:
     if args.iterations > 0:
         rng = _rng_from(args.seed)
         mc = analysis.singular_probability(d, p, args.iterations, rng).monte_carlo
-    bits = analysis.log2_int(subgroup.excluding_zero_one)
+    bits = math.log2(subgroup.excluding_zero_one)
     if args.format == "kv":
         print(f"d={d}")
         print(f"p={p}")
         print(f"order_gl={gl}")
-        print(f"log10_order_gl={analysis.log10_int(gl):.4f}")
+        print(f"log10_order_gl={math.log10(gl):.4f}")
         print(f"ambient={counts.total}")
-        print(f"log10_ambient={analysis.log10_int(counts.total):.4f}")
+        print(f"log10_ambient={math.log10(counts.total):.4f}")
         print(f"nilpotent={counts.nilpotent}")
         print(f"subgroup_order_excl_zero_one={subgroup.excluding_zero_one}")
         print(f"log2_subgroup_order_excl_zero_one={bits:.4f}")
         print(f"subgroup_order_excl_zero={subgroup.excluding_zero}")
-        print(f"log2_subgroup_order_excl_zero={analysis.log2_int(subgroup.excluding_zero):.4f}")
+        print(f"log2_subgroup_order_excl_zero={math.log2(subgroup.excluding_zero):.4f}")
         print(f"singular_closed_form={closed:.8f}")
         if mc is not None:
             print(f"singular_monte_carlo={mc:.8f}")
@@ -377,9 +378,9 @@ def run_analyze(args) -> int:
     else:
         print(f"parameters: d={d}, p={p}")
         print(f"|GL(d, F_p)|                 = {gl}")
-        print(f"                               (log10 = {analysis.log10_int(gl):.4f})")
+        print(f"                               (log10 = {math.log10(gl):.4f})")
         print(f"all d x d matrices           = {counts.total}")
-        print(f"                               (log10 = {analysis.log10_int(counts.total):.4f})")
+        print(f"                               (log10 = {math.log10(counts.total):.4f})")
         print(f"nilpotent matrices           = {counts.nilpotent}")
         print(
             f"commuting subgroup order     = {subgroup.excluding_zero_one}"
@@ -388,7 +389,7 @@ def run_analyze(args) -> int:
         print(
             f"alternative convention       = {subgroup.excluding_zero}"
             f"  (eigenvalues excluding 0 only, log2 = "
-            f"{analysis.log2_int(subgroup.excluding_zero):.2f})"
+            f"{math.log2(subgroup.excluding_zero):.2f})"
         )
         print(f"singular-draw probability    = {closed:.8f} (closed form)")
         if mc is not None:

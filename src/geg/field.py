@@ -8,7 +8,6 @@ protocol path).
 
 from __future__ import annotations
 
-import os
 import random
 from functools import lru_cache
 
@@ -58,30 +57,25 @@ class RandomSource:
     ``deterministic`` reproduces an identical stream from an identical seed
     and exists for tests and replayable transcripts.  ``crypto`` draws from
     the operating system and is the only mode suitable for real key material.
+    Both modes draw every value, bytes included, from one ``getrandbits``.
     All integer draws are rejection-based, so no modulo bias in either mode.
     """
 
-    __slots__ = ("_getrandbits", "_randbytes", "mode")
+    __slots__ = ("_getrandbits", "mode")
 
-    def __init__(self, getrandbits, randbytes, mode: str):
+    def __init__(self, getrandbits, mode: str):
         self._getrandbits = getrandbits
-        self._randbytes = randbytes
         self.mode = mode
 
     @classmethod
     def deterministic(cls, seed: int | bytes | None = 0) -> "RandomSource":
         if isinstance(seed, (bytes, bytearray)):
             seed = int.from_bytes(bytes(seed), "big") if seed else 0
-        rng = random.Random(seed)
-
-        def randbytes(k: int) -> bytes:
-            return rng.getrandbits(8 * k).to_bytes(k, "big") if k else b""
-
-        return cls(rng.getrandbits, randbytes, "deterministic-test")
+        return cls(random.Random(seed).getrandbits, "deterministic-test")
 
     @classmethod
     def crypto(cls) -> "RandomSource":
-        return cls(random.SystemRandom().getrandbits, os.urandom, "cryptographic")
+        return cls(random.SystemRandom().getrandbits, "cryptographic")
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection on fixed-width bit draws."""
@@ -94,10 +88,6 @@ class RandomSource:
             r = self._getrandbits(k)
             if r < n:
                 return r
-
-    def uniform(self, p: int = DEFAULT_PRIME) -> int:
-        """Uniform residue in [0, p-1]."""
-        return self.randbelow(p)
 
     def nonzero(self, p: int = DEFAULT_PRIME) -> int:
         """Uniform residue in [1, p-1]."""
@@ -122,8 +112,9 @@ class RandomSource:
         Bulk path used for matrix sampling: raw bytes are drawn, bytes at or
         above the largest multiple of p below 256 are rejected, the rest fold
         by one modulo.  For p = 251 this is plain rejection of {251..255}.
+        SystemRandom.getrandbits(8k) is k os.urandom bytes read big-endian.
         """
-        if p > 251:
+        if p > DEFAULT_PRIME:
             raise ValueError("array_mod supports byte-sized moduli only")
         limit = 256 - 256 % p
         parts: list[np.ndarray] = []
@@ -131,7 +122,7 @@ class RandomSource:
         while have < count:
             need = count - have
             draw = need + (need >> 4) + 16
-            buf = np.frombuffer(self._randbytes(draw), dtype=np.uint8)
+            buf = np.frombuffer(self._getrandbits(8 * draw).to_bytes(draw, "big"), dtype=np.uint8)
             kept = buf[buf < limit]
             parts.append(kept)
             have += kept.size

@@ -16,13 +16,10 @@ import numpy as np
 from .errors import SingularMatrixError
 from .field import DEFAULT_PRIME, RandomSource, power, power_table, validate_prime
 
-MAX_BYTE_PRIME = 251
-
-
 def _check_modulus(p: int) -> int:
     validate_prime(p)
-    if p > MAX_BYTE_PRIME:
-        raise ValueError(f"matrix layer supports byte-sized primes (p <= 251), got {p}")
+    if p > DEFAULT_PRIME:
+        raise ValueError(f"matrix layer supports byte-sized primes (p <= {DEFAULT_PRIME}), got {p}")
     return p
 
 
@@ -49,17 +46,6 @@ class MatrixFp:
         self._a = a.astype(np.uint8)
         self._a.setflags(write=False)
         self.p = p
-
-    @classmethod
-    def _wrap(cls, canonical: np.ndarray, p: int) -> "MatrixFp":
-        # internal fast path: `canonical` is already a reduced int array; a
-        # uint8 one is kept as a view, not copied
-        m = object.__new__(cls)
-        arr = canonical.astype(np.uint8, copy=False)
-        arr.setflags(write=False)
-        object.__setattr__(m, "_a", arr)
-        object.__setattr__(m, "p", p)
-        return m
 
     # -- constructors ------------------------------------------------------
 
@@ -104,13 +90,6 @@ class MatrixFp:
     def __getitem__(self, idx: tuple[int, int]) -> int:
         return int(self._a[idx])
 
-    def main_diagonal(self) -> np.ndarray:
-        return np.diagonal(self._a).astype(np.int64)
-
-    def anti_diagonal(self) -> np.ndarray:
-        """Entries from the lower-left corner (d-1, 0) up to the upper-right (0, d-1)."""
-        return np.diagonal(np.flipud(self._a)).astype(np.int64)
-
     # -- arithmetic --------------------------------------------------------
 
     def _compat(self, other: "MatrixFp") -> None:
@@ -124,14 +103,14 @@ class MatrixFp:
     def __matmul__(self, other: "MatrixFp") -> "MatrixFp":
         self._compat(other)
         prod = (self._a.astype(np.int64) @ other._a.astype(np.int64)) % self.p
-        return MatrixFp._wrap(prod, self.p)
+        return MatrixFp(prod, self.p)
 
     def pow(self, e: int) -> "MatrixFp":
         """Square-and-multiply power; e == 0 gives the identity."""
         p = self.p
         result = power(self._a.astype(np.int64), e, lambda a, b: a @ b % p,
                        np.eye(self.d, dtype=np.int64))
-        return MatrixFp._wrap(result, p)
+        return MatrixFp(result, p)
 
     __pow__ = pow
 
@@ -141,7 +120,7 @@ class MatrixFp:
 
     def inv(self) -> "MatrixFp":
         """Inverse; raises SingularMatrixError if det == 0.  The N=1 case of inv_stack."""
-        return MatrixFp._wrap(inv_stack(self._a[np.newaxis], self.p)[0], self.p)
+        return MatrixFp(inv_stack(self._a[np.newaxis], self.p)[0], self.p)
 
     # -- comparisons -------------------------------------------------------
 

@@ -46,7 +46,7 @@ class PolyFp:
     def random_monic(cls, rng: RandomSource, degree: int, p: int = DEFAULT_PRIME) -> "PolyFp":
         if degree < 1:
             raise ValueError("degree >= 1 required")
-        return cls([rng.uniform(p) for _ in range(degree)] + [1], p)
+        return cls([rng.randbelow(p) for _ in range(degree)] + [1], p)
 
     # -- structure -----------------------------------------------------------
 

@@ -26,7 +26,7 @@ import numpy as np
 from .commuting import CommutingContext, DiagonalSpec
 from .errors import ProtocolError, SingularMatrixError
 from .field import DEFAULT_PRIME, RandomSource, power_table
-from .linalg import MatrixFp, inv_stack
+from .linalg import MatrixFp, det_stack, inv_stack
 
 
 class Phase(enum.Enum):
@@ -62,8 +62,8 @@ def extract_exponents(key: MatrixFp) -> tuple[int, int]:
             return 1
         return nonzero[0] * nonzero[-1] % p
 
-    m = ends_product(key.anti_diagonal())
-    n = ends_product(key.main_diagonal())
+    m = ends_product(np.diagonal(np.flipud(key.array)))
+    n = ends_product(np.diagonal(key.array))
     return m, n
 
 
@@ -102,6 +102,8 @@ class Entity:
     """One party's protocol state; single-owner, mutated by the steps below."""
 
     def __init__(self, role: str, basis: MatrixFp, generator: MatrixFp):
+        if role not in ("initiator", "responder"):
+            raise ValueError(f"role must be 'initiator' or 'responder', got {role!r}")
         if basis.p != generator.p or basis.d != generator.d:
             raise ValueError("basis and generator must share dimensions and modulus")
         if generator.det() == 0:
@@ -171,8 +173,7 @@ class Entity:
         """Combine the peer's setup token into the first common key."""
         if self.phase is not Phase.FRESH or self._initial_exponents is None:
             raise ProtocolError("derive_session_key requires keygen on a fresh entity")
-        if peer_token.det() == 0:
-            raise ProtocolError("peer token is singular")
+        self._check_received(peer_token=peer_token)
         self._set_key(self._sandwich(peer_token, self._initial_exponents))
         self.peer_token = peer_token
         self.phase = Phase.KEYED
@@ -225,11 +226,18 @@ class Entity:
 
     def install_peer_token(self, token: MatrixFp) -> None:
         """Store the peer's current session token (needed to encrypt)."""
-        if token.d != self.d or token.p != self.p:
-            raise ProtocolError("peer token has wrong dimensions")
-        if token.det() == 0:
-            raise ProtocolError("peer token is singular")
+        self._check_received(peer_token=token)
         self.peer_token = token
+
+    def _check_received(self, **matrices: MatrixFp) -> None:
+        """Refuse any of the named matrices that is not an invertible d-by-d
+        matrix over this entity's field; one elimination checks them all."""
+        for name, m in matrices.items():
+            if m.d != self.d or m.p != self.p:
+                raise ProtocolError(f"{name} is not a {self.d}x{self.d} matrix over F_{self.p}")
+        for name, det in zip(matrices, det_stack(list(matrices.values()), self.p)):
+            if det == 0:
+                raise ProtocolError(f"{name} is singular")
 
     # -- cipher ----------------------------------------------------------------
 
@@ -316,17 +324,15 @@ class Entity:
         generator: MatrixFp,
         session_key: MatrixFp,
         eigenvalues: DiagonalSpec,
-        peer_token: MatrixFp | None = None,
+        peer_token: MatrixFp,
     ) -> "Entity":
         """Rebuild a session-open entity from persisted fields; the exponent
         pair is re-derived from the session key."""
         entity = cls(role, basis, generator)
-        if session_key.det() == 0:
-            raise ProtocolError("persisted session key is singular")
+        entity._check_received(session_key=session_key, peer_token=peer_token)
         entity._set_key(session_key)
         entity._eigenvalues = eigenvalues
-        if peer_token is not None:
-            entity.install_peer_token(peer_token)
+        entity.peer_token = peer_token
         entity.phase = Phase.SESSION_OPEN
         return entity
 

@@ -43,6 +43,7 @@ from .errors import (
     FrameValueError,
     PaddingError,
 )
+from .field import DEFAULT_PRIME
 from .linalg import MatrixFp
 from .protocol import CipherBlock
 
@@ -69,9 +70,8 @@ _KNOWN_TYPES = frozenset(_MATRIX_COUNT) | {MSG_CONTEXT_PARAMS}
 
 _PACK_CHUNK = 7          # plaintext bytes per digit group
 _DIGITS_PER_CHUNK = 8    # base-251 digits per group; 251**8 > 2**56
-_PACK_BASE = 251
 # place values, most significant first; 251**8 - 1 < 2**64, so uint64 never wraps
-_PLACES = _PACK_BASE ** np.arange(_DIGITS_PER_CHUNK - 1, -1, -1, dtype=np.uint64)
+_PLACES = DEFAULT_PRIME ** np.arange(_DIGITS_PER_CHUNK - 1, -1, -1, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def read_frame(data: bytes, offset: int = 0) -> tuple[WireMessage, int]:
             raise FrameLengthError(
                 f"type 0x{msg_type:02x} at d={d} requires {count * d * d} payload bytes, got {length}"
             )
-        if max(payload, default=0) >= _PACK_BASE:
+        if max(payload, default=0) >= DEFAULT_PRIME:
             raise FrameValueError("matrix payload byte out of range (must be < 251)")
     else:
         if length != 2:
@@ -145,7 +145,7 @@ def matrix_to_bytes(m: MatrixFp) -> bytes:
 def bytes_to_matrix(data: bytes, d: int) -> MatrixFp:
     if len(data) != d * d:
         raise FrameLengthError(f"expected {d * d} matrix bytes, got {len(data)}")
-    if max(data, default=0) >= _PACK_BASE:
+    if max(data, default=0) >= DEFAULT_PRIME:
         raise FrameValueError("matrix byte out of range (must be < 251)")
     return MatrixFp(np.frombuffer(data, dtype=np.uint8).reshape(d, d))
 
@@ -207,7 +207,7 @@ def read_cipher_blocks(data: bytes, offset: int, d: int) -> tuple[np.ndarray, np
     frames = np.frombuffer(data, dtype=np.uint8, count=count * size, offset=offset)
     frames = frames.reshape(count, size)
     good = (frames[:, :HEADER_LEN] == np.frombuffer(_cipher_header(d), dtype=np.uint8)).all(axis=1)
-    good &= frames[:, HEADER_LEN:].max(axis=1, initial=0) < _PACK_BASE
+    good &= frames[:, HEADER_LEN:].max(axis=1, initial=0) < DEFAULT_PRIME
     bad = np.flatnonzero(~good)
     if bad.size or offset + count * size != len(data):
         msg, _ = read_frame(data, offset + size * (int(bad[0]) if bad.size else count))
@@ -262,7 +262,7 @@ def encode_plaintext(data: bytes, d: int = 8) -> np.ndarray:
     words = np.zeros((len(chunks), _DIGITS_PER_CHUNK), dtype=np.uint8)
     words[:, 1:] = chunks
     digits = words.view(">u8") // _PLACES
-    digits %= _PACK_BASE
+    digits %= DEFAULT_PRIME
     return digits.reshape(-1, d, d).astype(np.uint8)
 
 
@@ -277,7 +277,7 @@ def decode_plaintext(blocks) -> bytes:
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
         raise CorruptBlockError(f"a stack of square blocks required, got shape {stack.shape}")
     cap = block_capacity(stack.shape[1])
-    if stack.dtype.kind not in "iu" or stack.min() < 0 or stack.max() >= _PACK_BASE:
+    if stack.dtype.kind not in "iu" or stack.min() < 0 or stack.max() >= DEFAULT_PRIME:
         raise CorruptBlockError("block entries must be digits in [0, 251)")
     digits = stack.astype(np.uint8, copy=False).reshape(-1, _DIGITS_PER_CHUNK)
     # einsum casts to uint64 in buffered slices; `@` would copy all digits as uint64

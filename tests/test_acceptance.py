@@ -8,6 +8,7 @@ most uniform 8x8 matrices singular.
 """
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -19,8 +20,6 @@ from geg.analysis import (
     bgsdp_bruteforce,
     gsdp_verify,
     instance_from_exchange,
-    log2_int,
-    log10_int,
     make_instance,
     order_gl,
     relation_holds,
@@ -97,7 +96,7 @@ def test_criterion_03_cipher_round_trip():
     singular_seen = 0
     for i in range(1000):
         if i % 10 == 0:
-            rows = [[rng.uniform(251) for _ in range(8)] for _ in range(8)]
+            rows = [[rng.randbelow(251) for _ in range(8)] for _ in range(8)]
             rows[3] = rows[2]  # force a repeated row: deliberately singular
             plain = MatrixFp(rows, 251)
         else:
@@ -143,7 +142,7 @@ def test_criterion_04_update_exponent_anchor():
 def test_criterion_05_subgroup_cardinality():
     orders = subgroup_orders(8, 251)
     assert orders.excluding_zero_one == 13190481178699144320
-    bits = log2_int(orders.excluding_zero_one)
+    bits = math.log2(orders.excluding_zero_one)
     assert 63.4 <= bits <= 64.0
     report("05", "subgroup-cardinality", True, f"log2 = {bits:.3f}")
 
@@ -153,7 +152,7 @@ PUBLISHED_LOG10_GL = 153.177  # published log10 |GL(8, F_251)|: a typo
 
 def test_criterion_06a_gl_cardinality_published_figure():
     order = order_gl(8, 251)
-    value = log10_int(order)
+    value = math.log10(order)
     assert abs(value - 153.577) <= 0.001
     # |GL| / p**(d*d) is the non-singular probability, exactly; this ties the
     # cardinality to the ambient count (06b) and the singular probability (07).
@@ -168,7 +167,7 @@ def test_criterion_06a_gl_cardinality_published_figure():
     assert differing == [computed.index(".") + 1], (computed, published)
     # Taken at face value, 10^153.177 invertible matrices out of 251^64 would
     # leave a singular probability above one half; the exact one is 0.004.
-    implied_singular = 1 - 10 ** (PUBLISHED_LOG10_GL - log10_int(251**64))
+    implied_singular = 1 - 10 ** (PUBLISHED_LOG10_GL - math.log10(251**64))
     assert implied_singular > 0.5 > singular_probability_closed(8, 251)
     report(
         "06a",
@@ -179,7 +178,7 @@ def test_criterion_06a_gl_cardinality_published_figure():
 
 
 def test_criterion_06b_ambient_cardinality():
-    value = log10_int(251**64)
+    value = math.log10(251**64)
     ok = abs(value - 153.579) <= 0.001
     report("06b", "ambient-cardinality", ok, f"log10 = {value:.4f}")
     assert ok

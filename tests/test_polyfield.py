@@ -46,15 +46,15 @@ class TestPolyArithmetic:
     def test_mul_matches_list_oracle(self):
         rng = RandomSource.deterministic(1)
         for _ in range(60):
-            a = PolyFp([rng.uniform(7) for _ in range(5)], 7)
-            b = PolyFp([rng.uniform(7) for _ in range(4)], 7)
+            a = PolyFp([rng.randbelow(7) for _ in range(5)], 7)
+            b = PolyFp([rng.randbelow(7) for _ in range(4)], 7)
             assert list((a * b).coeffs) == poly_mul_lists(list(a.coeffs), list(b.coeffs), 7)
 
     def test_divmod_matches_list_oracle(self):
         rng = RandomSource.deterministic(2)
         for _ in range(60):
-            a = PolyFp([rng.uniform(11) for _ in range(7)], 11)
-            b = PolyFp([rng.uniform(11) for _ in range(3)] + [1], 11)
+            a = PolyFp([rng.randbelow(11) for _ in range(7)], 11)
+            b = PolyFp([rng.randbelow(11) for _ in range(3)] + [1], 11)
             q, r = divmod(a, b)
             assert list(r.coeffs) == poly_mod_lists(list(a.coeffs), list(b.coeffs), 11)
             assert q * b + r == a

@@ -102,6 +102,20 @@ class TestKeyAgreement:
         with pytest.raises(ProtocolError):
             alice.derive_session_key(MatrixFp([[0] * 8] * 8, 251))
 
+    @pytest.mark.parametrize("d, p", [(8, 7), (4, 251)])
+    def test_peer_token_of_another_size_or_field_rejected(self, d, p):
+        rng = RandomSource.deterministic(6)
+        alice = Entity("initiator", *setup_shared(rng, 8))
+        alice.keygen(rng)
+        with pytest.raises(ProtocolError, match="peer_token is not a 8x8"):
+            alice.derive_session_key(MatrixFp.random_invertible(rng, d, p))
+        assert alice.phase is Phase.FRESH and alice.session_key is None
+
+    def test_unknown_role_rejected(self):
+        basis, generator = setup_shared(RandomSource.deterministic(7), 8)
+        with pytest.raises(ValueError, match="role"):
+            Entity("alice", basis, generator)
+
     def test_derive_before_keygen_rejected(self):
         rng = RandomSource.deterministic(5)
         basis, generator = setup_shared(rng, 8)
@@ -325,3 +339,16 @@ class TestRestore:
         block = alice.encrypt_block(plain, rng)
         assert clone.decrypt_block(block) == plain
         assert clone.shared_parameters() == bob.shared_parameters()
+
+    def test_restore_checks_session_key_and_peer_token(self):
+        alice, bob, _ = make_pair(26)
+        start_session(alice, bob)
+        fields = (bob.role, bob.basis, bob.generator)
+        zero = MatrixFp([[0] * 8] * 8, 251)
+        with pytest.raises(ProtocolError, match="session_key is singular"):
+            Entity.restore(*fields, zero, bob.eigenvalues, bob.peer_token)
+        with pytest.raises(ProtocolError, match="peer_token is singular"):
+            Entity.restore(*fields, bob.session_key, bob.eigenvalues, zero)
+        with pytest.raises(ProtocolError, match="peer_token is not a 8x8 matrix over F_251"):
+            Entity.restore(*fields, bob.session_key, bob.eigenvalues,
+                           MatrixFp.identity(8, 7))
