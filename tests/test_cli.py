@@ -338,6 +338,41 @@ class TestStatePersistence:
             assert code == cli.EXIT_CODEC
             assert self.TAMPER[field][1] in err
 
+    # the body after the 12-byte header: P, G, K, peer token, marker, eigenvalues
+    MATRICES = ("basis", "generator", "session_key", "peer_token")
+    BODY_FAULTS = [(name, fault, cli.EXIT_CODEC if fault == "byte 251" else cli.EXIT_PROTOCOL)
+                   for name in MATRICES for fault in ("zero", "row copy", "byte 251")]
+    BODY_FAULTS += [("eigenvalues", fault, cli.EXIT_CODEC) for fault in ("zero", "repeat")]
+
+    @pytest.mark.parametrize("d", [8, 16])
+    @pytest.mark.parametrize("target, fault, code", BODY_FAULTS)
+    def test_tampered_body_rejected(self, capsys, tmp_path, d, target, fault, code):
+        prefix = tmp_path / "kx"
+        assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", "beef",
+                            "--dim", str(d)])[0] == 0
+        state = prefix.with_name("kx.initiator")
+        blob = bytearray(state.read_bytes())
+        if target == "eigenvalues":
+            at = len(blob) - d
+            blob[at + 1] = 0 if fault == "zero" else blob[at]
+        else:
+            at = 12 + self.MATRICES.index(target) * d * d
+            if fault == "zero":
+                blob[at : at + d * d] = bytes(d * d)
+            elif fault == "row copy":
+                blob[at + d : at + 2 * d] = blob[at : at + d]
+            else:
+                blob[at] = 251
+        state.write_bytes(bytes(blob))
+        src, out = tmp_path / "p.bin", tmp_path / "c"
+        src.write_bytes(b"hello")
+        got, stdout, err = run(
+            capsys, ["encrypt", "--state", str(state), "--in", str(src), "--out", str(out)]
+        )
+        assert got == code
+        assert stdout == "" and err.startswith("geg: ") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("d", [0, 2, 12])
     def test_unsupported_dimension_rejected(self, capsys, tmp_path, d):
         # length-consistent: header, four zero matrices, marker, eigenvalues 1..d
