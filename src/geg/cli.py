@@ -46,6 +46,8 @@ BATCH_BLOCKS = 256
 STATE_TAG = 0x10
 SESSION_OPEN_PHASE = 0x03  # the only persistable phase
 PRIVATE_MARKER = 0x90
+# magic | tag | d | p | role | phase | m | n, then the matrices and the private section
+_STATE_HEADER = struct.Struct(">4sBBHBBBB")
 _ROLE_BYTES = {"initiator": 0x01, "responder": 0x02}
 _ROLE_NAMES = {v: k for k, v in _ROLE_BYTES.items()}
 
@@ -72,23 +74,11 @@ def _format_matrix(m: MatrixFp, indent: str = "  ") -> str:
 def save_state(path: Path, entity: Entity) -> None:
     if entity.peer_token is None:
         raise GegError("entity has no peer session token; cannot save a usable state")
-    m, n = entity.exponents
-    blob = bytearray()
-    blob += wire.MAGIC
-    blob.append(STATE_TAG)
-    blob.append(entity.d)
-    blob += struct.pack(">H", entity.p)
-    blob.append(_ROLE_BYTES[entity.role])
-    blob.append(SESSION_OPEN_PHASE)
-    blob.append(m)
-    blob.append(n)
-    blob += wire.matrix_to_bytes(entity.basis)
-    blob += wire.matrix_to_bytes(entity.generator)
-    blob += wire.matrix_to_bytes(entity.session_key)
-    blob += wire.matrix_to_bytes(entity.peer_token)
-    blob.append(PRIVATE_MARKER)
-    blob += bytes(entity.eigenvalues.values)
-    _write_atomic(path, [bytes(blob)])
+    header = _STATE_HEADER.pack(wire.MAGIC, STATE_TAG, entity.d, entity.p,
+                                _ROLE_BYTES[entity.role], SESSION_OPEN_PHASE, *entity.exponents)
+    matrices = (entity.basis, entity.generator, entity.session_key, entity.peer_token)
+    private = bytes([PRIVATE_MARKER, *entity.eigenvalues.values])
+    _write_atomic(path, [header, *map(wire.matrix_to_bytes, matrices), private])
 
 
 def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
@@ -107,39 +97,33 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
 
 def load_state(path: Path) -> Entity:
     blob = path.read_bytes()
-    if len(blob) < 12 or blob[:4] != wire.MAGIC:
+    if len(blob) < _STATE_HEADER.size or blob[:4] != wire.MAGIC:
         raise FrameMagicError(f"{path}: not a state file")
-    if blob[4] != STATE_TAG:
-        raise FrameMagicError(f"{path}: unexpected file tag 0x{blob[4]:02x}")
-    d = blob[5]
-    (p,) = struct.unpack(">H", blob[6:8])
+    _, tag, d, p, role_byte, phase, m, n = _STATE_HEADER.unpack_from(blob)
+    if tag != STATE_TAG:
+        raise FrameMagicError(f"{path}: unexpected file tag 0x{tag:02x}")
     if p != DEFAULT_PRIME:
         raise FrameValueError(f"{path}: modulus {p} is not {DEFAULT_PRIME}")
     if d not in PROTOCOL_DIMS:
         raise FrameValueError(f"{path}: dimension {d} is not one of {PROTOCOL_DIMS}")
-    role = _ROLE_NAMES.get(blob[8])
+    role = _ROLE_NAMES.get(role_byte)
     if role is None:
-        raise FrameValueError(f"{path}: unknown role byte 0x{blob[8]:02x}")
-    if blob[9] != SESSION_OPEN_PHASE:
-        raise FrameValueError(f"{path}: phase byte 0x{blob[9]:02x} is not session-open")
-    m, n = blob[10], blob[11]
+        raise FrameValueError(f"{path}: unknown role byte 0x{role_byte:02x}")
+    if phase != SESSION_OPEN_PHASE:
+        raise FrameValueError(f"{path}: phase byte 0x{phase:02x} is not session-open")
     sq = d * d
-    expect = 12 + 4 * sq + 1 + d
-    if len(blob) != expect:
-        raise FrameLengthError(f"{path}: expected {expect} bytes, found {len(blob)}")
-    off = 12
-    mats = []
-    for _ in range(4):
-        mats.append(wire.bytes_to_matrix(blob[off : off + sq], d))
-        off += sq
-    if blob[off] != PRIVATE_MARKER:
+    marker = _STATE_HEADER.size + 4 * sq
+    if len(blob) != marker + 1 + d:
+        raise FrameLengthError(f"{path}: expected {marker + 1 + d} bytes, found {len(blob)}")
+    basis, generator, session_key, peer_token = (
+        wire.bytes_to_matrix(blob[at : at + sq], d) for at in range(_STATE_HEADER.size, marker, sq)
+    )
+    if blob[marker] != PRIVATE_MARKER:
         raise FrameMagicError(f"{path}: private section marker missing")
-    off += 1
     try:
-        eigenvalues = DiagonalSpec(tuple(blob[off : off + d]), p)
+        eigenvalues = DiagonalSpec(tuple(blob[marker + 1 :]), p)
     except ValueError as exc:
         raise FrameValueError(f"{path}: invalid private section: {exc}") from exc
-    basis, generator, session_key, peer_token = mats
     entity = Entity.restore(role, basis, generator, session_key, eigenvalues, peer_token)
     for name, stored, derived in zip("mn", (m, n), entity.exponents):
         if stored != derived:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GegError
+from .errors import GegError, SingularMatrixError
 from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp
 
@@ -62,7 +62,10 @@ class CommutingContext:
 
     def __init__(self, basis: MatrixFp):
         self.basis = basis
-        self.basis_inv = basis.inv()  # raises SingularMatrixError if unusable
+        try:
+            self.basis_inv = basis.inv()
+        except SingularMatrixError as exc:
+            raise SingularMatrixError("basis is singular") from exc
         if self.basis @ self.basis_inv != MatrixFp.identity(basis.d, basis.p):
             raise GegError("cached basis inverse does not invert the basis")
 

@@ -104,13 +104,9 @@ class Entity:
     def __init__(self, role: str, basis: MatrixFp, generator: MatrixFp):
         if role not in ("initiator", "responder"):
             raise ValueError(f"role must be 'initiator' or 'responder', got {role!r}")
-        if basis.p != generator.p or basis.d != generator.d:
-            raise ValueError("basis and generator must share dimensions and modulus")
-        if generator.det() == 0:
-            raise SingularMatrixError("public generator must be invertible")
         self.role = role
         self.context = CommutingContext(basis)  # checks basis invertibility
-        self.generator = generator
+        self.generator = generator  # checked where first used: keygen or restore
         self.session_key: MatrixFp | None = None
         self.exponents: tuple[int, int] | None = None
         self.peer_token: MatrixFp | None = None
@@ -162,6 +158,7 @@ class Entity:
         """Sample private material and return the setup token to transmit."""
         if self.phase is not Phase.FRESH:
             raise ProtocolError("keygen only valid on a fresh entity")
+        self._check_received(generator=self.generator)
         # exponents from [1, p-1]: zero would degrade the token to the bare generator
         k1 = rng.nonzero(self.p)
         k2 = rng.nonzero(self.p)
@@ -329,7 +326,9 @@ class Entity:
         """Rebuild a session-open entity from persisted fields; the exponent
         pair is re-derived from the session key."""
         entity = cls(role, basis, generator)
-        entity._check_received(session_key=session_key, peer_token=peer_token)
+        entity._check_received(generator=generator, session_key=session_key, peer_token=peer_token)
+        if eigenvalues.d != entity.d or eigenvalues.p != entity.p:
+            raise ProtocolError(f"eigenvalues are not {entity.d} residues mod {entity.p}")
         entity._set_key(session_key)
         entity._eigenvalues = eigenvalues
         entity.peer_token = peer_token

@@ -371,7 +371,24 @@ class TestStatePersistence:
         )
         assert got == code
         assert stdout == "" and err.startswith("geg: ") and "Traceback" not in err
+        if code == cli.EXIT_PROTOCOL:
+            assert f"{target} is singular" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_load_runs_two_eliminations(self, capsys, tmp_path, monkeypatch, d):
+        # one inverse of the basis, then one determinant stack over G, K and
+        # the peer token
+        from geg import linalg
+
+        prefix = tmp_path / "kx"
+        assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", "beef",
+                            "--dim", str(d)])[0] == 0
+        shapes, eliminate = [], linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate",
+                            lambda aug, p: shapes.append(aug.shape) or eliminate(aug, p))
+        cli.load_state(prefix.with_name("kx.responder"))
+        assert shapes == [(1, d, 2 * d), (3, d, d)]
 
     @pytest.mark.parametrize("d", [0, 2, 12])
     def test_unsupported_dimension_rejected(self, capsys, tmp_path, d):

@@ -37,7 +37,7 @@ class TestDiagonalSpec:
 
 class TestContext:
     def test_singular_basis_rejected(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="basis is singular"):
             CommutingContext(MatrixFp([[1, 1], [1, 1]], 5))
 
     def test_cached_inverse_valid(self):

@@ -78,6 +78,18 @@ class TestModuleEntry:
         assert dec.stderr.startswith("geg: codec error")
         assert not (tmp_path / "plain.out").exists()
 
+    def test_singular_generator_is_protocol_error(self, tmp_path):
+        assert geg_process("keyexchange", "--seed", "beef", "--state", "kx", cwd=tmp_path).returncode == 0
+        state = bytearray((tmp_path / "kx.initiator").read_bytes())
+        state[12 + 64 : 12 + 128] = bytes(64)  # G, the second d=8 matrix after the header
+        (tmp_path / "kx.initiator").write_bytes(bytes(state))
+        (tmp_path / "plain.bin").write_bytes(b"hello")
+        enc = geg_process("encrypt", "--state", "kx.initiator",
+                          "--in", "plain.bin", "--out", "cipher.geg", cwd=tmp_path)
+        assert enc.returncode == cli.EXIT_PROTOCOL
+        assert enc.stderr == "geg: protocol error: generator is singular\n"
+        assert not (tmp_path / "cipher.geg").exists()
+
     def test_zero_bench_iterations_is_usage_error(self, tmp_path):
         got = geg_process("bench", "--iterations", "0", cwd=tmp_path)
         assert got.returncode == cli.EXIT_USAGE

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geg.commuting import commutes
+from geg.commuting import DiagonalSpec, commutes
 from geg.errors import ProtocolError
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
@@ -67,6 +67,17 @@ class TestKeygen:
         alice, _, rng = make_pair(3)
         with pytest.raises(ProtocolError):
             alice.keygen(rng)
+
+    @pytest.mark.parametrize("generator, message", [
+        (MatrixFp([[1] * 8] * 8, 251), "generator is singular"),
+        (MatrixFp.identity(4, 251), "generator is not a 8x8 matrix over F_251"),
+    ])
+    def test_bad_generator_rejected_at_keygen(self, generator, message):
+        rng = RandomSource.deterministic(8)
+        entity = Entity("initiator", setup_shared(rng, 8)[0], generator)
+        with pytest.raises(ProtocolError, match=message):
+            entity.keygen(rng)
+        assert entity.phase is Phase.FRESH and entity.eigenvalues is None
 
 
 class TestKeyAgreement:
@@ -352,3 +363,19 @@ class TestRestore:
         with pytest.raises(ProtocolError, match="peer_token is not a 8x8 matrix over F_251"):
             Entity.restore(*fields, bob.session_key, bob.eigenvalues,
                            MatrixFp.identity(8, 7))
+
+    def test_restore_checks_generator(self):
+        alice, bob, _ = make_pair(27)
+        start_session(alice, bob)
+        singular = MatrixFp([[1] * 8] * 8, 251)
+        with pytest.raises(ProtocolError, match="generator is singular"):
+            Entity.restore(bob.role, bob.basis, singular, bob.session_key, bob.eigenvalues,
+                           bob.peer_token)
+
+    @pytest.mark.parametrize("d, p", [(4, 251), (8, 11)])
+    def test_restore_refuses_eigenvalues_of_another_size_or_field(self, d, p):
+        alice, bob, _ = make_pair(28)
+        start_session(alice, bob)
+        with pytest.raises(ProtocolError, match="eigenvalues are not 8 residues mod 251"):
+            Entity.restore(bob.role, bob.basis, bob.generator, bob.session_key,
+                           DiagonalSpec(tuple(range(1, d + 1)), p), bob.peer_token)
