@@ -2,8 +2,9 @@
 
 Two-party key agreement and block encryption in the general linear group
 over a byte-sized prime field (p = 251 by default), with every public
-parameter recursively re-derived per cipher session, plus the analysis
-toolkit for the underlying algebra.
+parameter recursively re-derived per cipher session.  The analysis toolkit
+(`geg.analysis`, `geg.polyfield`, `geg.factorint`) is imported by module
+name and not re-exported here, so a process that only encrypts never loads it.
 """
 
 import os
@@ -26,14 +27,6 @@ from .errors import (
 )
 from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp, companion_matrix
-from .polyfield import (
-    PolyFp,
-    count_irreducible_monic,
-    count_monic_nontrivial,
-    element_order,
-    is_irreducible,
-    rand_irreducible,
-)
 from .protocol import (
     CipherBlock,
     Entity,
@@ -62,19 +55,13 @@ __all__ = [
     "MatrixFp",
     "PaddingError",
     "Phase",
-    "PolyFp",
     "ProtocolError",
     "RandomSource",
     "SingularMatrixError",
     "commutes",
     "companion_matrix",
-    "count_irreducible_monic",
-    "count_monic_nontrivial",
-    "element_order",
     "extract_exponents",
     "handshake",
-    "is_irreducible",
-    "rand_irreducible",
     "setup_shared",
     "start_session",
 ]

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp
-from .protocol import Entity, handshake, setup_shared, start_session
+from .protocol import Entity, Phase, handshake, setup_shared, start_session
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,8 +72,9 @@ def _format_matrix(m: MatrixFp, indent: str = "  ") -> str:
 
 
 def save_state(path: Path, entity: Entity) -> None:
-    if entity.peer_token is None:
-        raise GegError("entity has no peer session token; cannot save a usable state")
+    # a keyed entity holds the setup token as peer_token, but its key is not a session's
+    if entity.phase is not Phase.SESSION_OPEN or entity.peer_token is None:
+        raise GegError("entity has no open session with the peer's token; cannot save it")
     header = _STATE_HEADER.pack(wire.MAGIC, STATE_TAG, entity.d, entity.p,
                                 _ROLE_BYTES[entity.role], SESSION_OPEN_PHASE, *entity.exponents)
     matrices = (entity.basis, entity.generator, entity.session_key, entity.peer_token)

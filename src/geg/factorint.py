@@ -1,9 +1,9 @@
-"""Integer factorization for group-order computations.
+"""Integer factorization for group-order computations (analysis toolkit).
 
-Trial division up to a fixed bound, then Brent-variant Pollard rho with a
-Miller-Rabin primality check.  Deterministic: rho sweeps a fixed parameter
-sequence, so results are reproducible.  Sized for 64-bit inputs (the shipped
-default needs 251**8 - 1).
+Trial division up to a fixed bound, then Brent-variant Pollard rho, with the
+package's one primality test (`field.is_probable_prime`) on the cofactors.
+Deterministic: rho sweeps a fixed parameter sequence, so results are
+reproducible.  Sized for 64-bit inputs (the shipped default needs 251**8 - 1).
 """
 
 from __future__ import annotations
@@ -11,36 +11,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from .field import is_probable_prime
+
 TRIAL_LIMIT = 1_000_000
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; the fixed base set is deterministic for n < 3.3e24."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n == q:
-            return True
-        if n % q == 0:
-            return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def pollard_rho(n: int) -> int:

@@ -13,9 +13,36 @@ from functools import lru_cache
 
 import numpy as np
 
-from .factorint import is_probable_prime
-
 DEFAULT_PRIME = 251
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin; the fixed base set is deterministic for n < 3.3e24."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n == q:
+            return True
+        if n % q == 0:
+            return False
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)  # runs on every MatrixFp construction

@@ -216,8 +216,9 @@ class Entity:
         """Mirror the peer's session update and return the answering token."""
         if self.phase is Phase.FRESH:
             raise ProtocolError("ack_session requires a derived key")
+        self._check_received(peer_token=peer_token)  # before the update: a refusal moves nothing
         token = self._refresh_session()
-        self.install_peer_token(peer_token)
+        self.peer_token = peer_token
         self.phase = Phase.SESSION_OPEN
         return token
 
@@ -252,12 +253,8 @@ class Entity:
             raise ProtocolError("encrypt requires an open session")
         if self.peer_token is None:
             raise ProtocolError("no session token from peer")
-        plains = np.asarray(plains)
-        if plains.ndim != 3 or plains.shape[1:] != (self.d, self.d):
-            raise ValueError("plaintext blocks have wrong dimensions")
+        plains = self._check_blocks("plaintext", plains)
         p, ctx = self.p, self.context
-        if plains.dtype.kind not in "iu" or plains.min(initial=0) < 0 or plains.max(initial=0) >= p:
-            raise ValueError(f"plaintext block entries must be residues in [0, {p})")
         ephemeral = np.array(
             [rng.distinct_nonzero(self.d, p) for _ in range(len(plains))], dtype=np.int64
         ).reshape(-1, self.d)
@@ -275,9 +272,9 @@ class Entity:
         session token; returns the uint8 plaintext stack."""
         if self.phase is not Phase.SESSION_OPEN:
             raise ProtocolError("decrypt requires an open session")
-        y1, y2 = np.asarray(y1), np.asarray(y2)
-        if y1.ndim != 3 or y1.shape[1:] != (self.d, self.d) or y2.shape != y1.shape:
-            raise ValueError("cipher blocks have wrong dimensions")
+        y1, y2 = self._check_blocks("y1", y1), self._check_blocks("y2", y2)
+        if y2.shape != y1.shape:
+            raise ValueError("y1 and y2 hold different numbers of blocks")
         p, ctx = self.p, self.context
         # B^m y1 B^n in the eigenbasis; y2 (B^m y1 B^n)^-1 = y2 P (that)^-1 P^-1
         weights = self._sandwich_weights(np.array(self._eigenvalues.values), self.exponents)
@@ -287,6 +284,17 @@ class Entity:
         except SingularMatrixError as exc:
             raise ProtocolError("malformed ciphertext: masked generator is singular") from exc
         return (y2.astype(np.int64) @ ctx.from_eigenbasis(unmask) % p).astype(np.uint8)
+
+    def _check_blocks(self, name: str, blocks) -> np.ndarray:
+        """`blocks` as an (N, d, d) integer array of residues in [0, p), or
+        ValueError: entries outside the field would be reduced silently."""
+        blocks = np.asarray(blocks)
+        if blocks.ndim != 3 or blocks.shape[1:] != (self.d, self.d):
+            raise ValueError(f"{name} blocks have wrong dimensions")
+        if (blocks.dtype.kind not in "iu"
+                or blocks.min(initial=0) < 0 or blocks.max(initial=0) >= self.p):
+            raise ValueError(f"{name} block entries must be residues in [0, {self.p})")
+        return blocks
 
     def _sandwich_weights(self, eigenvalues: np.ndarray, exponents: tuple[int, int]) -> np.ndarray:
         """outer(λ^m, λ^n) for each eigenvalue list λ (the last axis), with

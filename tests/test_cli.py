@@ -306,6 +306,21 @@ class TestStatePersistence:
         with pytest.raises(GegError):
             save_state(tmp_path / "x", alice)
 
+    def test_save_keyed_entity_rejected(self, tmp_path):
+        # after the handshake peer_token is the setup token; saved, the pair
+        # came back session-open and its round trip failed
+        from geg.cli import save_state
+        from geg.errors import GegError
+        from geg.field import RandomSource
+        from geg.protocol import Phase, handshake, setup_shared
+
+        rng = RandomSource.deterministic(6)
+        for entity in handshake(*setup_shared(rng, 8), rng):
+            assert entity.phase is Phase.KEYED and entity.peer_token is not None
+            with pytest.raises(GegError, match="no open session"):
+                save_state(tmp_path / entity.role, entity)
+        assert list(tmp_path.iterdir()) == []
+
     # state header: magic(4) tag d p(2) role phase m n
     TAMPER = {"role": (8, "role byte"), "phase": (9, "phase byte"),
               "m": (10, "exponent m="), "n": (11, "exponent n="),

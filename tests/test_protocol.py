@@ -224,6 +224,18 @@ class TestSessions:
         with pytest.raises(ProtocolError):
             entity.ack_session(MatrixFp.identity(8, 251))
 
+    @pytest.mark.parametrize("token", ["singular", "d=4"])
+    def test_refused_ack_moves_nothing(self, token):
+        # refused after the update, the acker was a session ahead of the opener
+        alice, bob, rng = make_pair(12)
+        start_session(alice, bob)
+        before = (bob.shared_parameters(), bob.peer_token, bob.phase)
+        bad = (MatrixFp([[0] * 8] * 8, 251) if token == "singular"
+               else MatrixFp.random_invertible(rng, 4, 251))
+        with pytest.raises(ProtocolError, match="peer_token"):
+            bob.ack_session(bad)
+        assert (bob.shared_parameters(), bob.peer_token, bob.phase) == before
+
     def test_update_exponent_reduction(self):
         # the key-update exponent is the reduced product of the pair:
         # with the documented sample pair (41, 178) it is 19
@@ -317,6 +329,21 @@ class TestCipher:
         plains[1, 2, 3] = entry
         with pytest.raises(ValueError, match="residues"):
             alice.encrypt_blocks(plains, rng)
+
+    @pytest.mark.parametrize("stack", [0, 1])
+    @pytest.mark.parametrize("change", ["+0.7", "+251", "-251"])
+    def test_cipher_entries_outside_the_field_rejected(self, change, stack):
+        # accepted, they would be truncated or reduced mod 251 and decrypt
+        # to the original plaintext
+        alice, bob, rng = make_pair(25)
+        start_session(alice, bob)
+        cipher = [y.astype(np.int64) for y in alice.encrypt_blocks(np.zeros((3, 8, 8), np.int64), rng)]
+        if change == "+0.7":
+            cipher[stack] = cipher[stack] + 0.7
+        else:
+            cipher[stack][1, 2, 3] += int(change)
+        with pytest.raises(ValueError, match="residues"):
+            bob.decrypt_blocks(*cipher)
 
     def test_block_of_another_modulus_rejected(self):
         alice, bob, rng = make_pair(26)
