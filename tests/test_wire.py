@@ -41,6 +41,28 @@ class TestFraming:
         parsed = wire.parse(wire.frame(msg))
         assert wire.cipher_block_from_message(parsed) == block
 
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_cipher_block_message_is_one_bulk_frame(self, d):
+        rng = RandomSource.deterministic(d)
+        y1, y2 = MatrixFp.random(rng, d, 251), MatrixFp.random(rng, d, 251)
+        raw = wire.frame(wire.cipher_block_message(CipherBlock(y1, y2)))
+        assert raw == wire.cipher_frames(y1.array[np.newaxis], y2.array[np.newaxis])
+
+    @pytest.mark.parametrize("payload, error", [
+        (bytes([251]) + bytes(127), errors.FrameValueError),  # in y1
+        (bytes(127) + bytes([251]), errors.FrameValueError),  # in y2
+        (bytes(127), errors.FrameLengthError),
+        (bytes(129), errors.FrameLengthError),
+    ])
+    def test_cipher_block_from_bad_payload_rejected(self, payload, error):
+        with pytest.raises(error):
+            wire.cipher_block_from_message(wire.WireMessage(wire.MSG_CIPHER_BLOCK, 8, payload))
+
+    def test_cipher_block_from_token_message_rejected(self):
+        token = wire.matrix_message(wire.MSG_TOKEN_OPEN, MatrixFp.identity(8))
+        with pytest.raises(errors.FrameTypeError):
+            wire.cipher_block_from_message(token)
+
     def test_context_round_trip(self):
         msg = wire.context_message(8, 251)
         assert wire.context_from_message(wire.parse(wire.frame(msg))) == (8, 251)
