@@ -28,7 +28,6 @@ from .errors import (
 from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp, companion_matrix
 from .protocol import (
-    CipherBlock,
     Entity,
     Phase,
     extract_exponents,
@@ -40,7 +39,6 @@ from .protocol import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CipherBlock",
     "CodecError",
     "CommutingContext",
     "CorruptBlockError",

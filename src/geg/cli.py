@@ -75,6 +75,10 @@ def save_state(path: Path, entity: Entity) -> None:
     # a keyed entity holds the setup token as peer_token, but its key is not a session's
     if entity.phase is not Phase.SESSION_OPEN or entity.peer_token is None:
         raise GegError("entity has no open session with the peer's token; cannot save it")
+    # load_state reads no other field: such a file could be written but never loaded
+    if entity.d not in PROTOCOL_DIMS or entity.p != DEFAULT_PRIME:
+        raise GegError(f"state files hold d in {PROTOCOL_DIMS} over F_{DEFAULT_PRIME}, "
+                       f"not d={entity.d} over F_{entity.p}")
     header = _STATE_HEADER.pack(wire.MAGIC, STATE_TAG, entity.d, entity.p,
                                 _ROLE_BYTES[entity.role], SESSION_OPEN_PHASE, *entity.exponents)
     matrices = (entity.basis, entity.generator, entity.session_key, entity.peer_token)
@@ -189,12 +193,12 @@ def run_demo(args) -> int:
     print(f"bilateral consistency after update: {'yes' if consistent else 'NO'}")
 
     plain = MatrixFp.random(rng, d, alice.p)
-    block = alice.encrypt_block(plain, rng)
-    recovered = bob.decrypt_block(block)
+    y1, y2 = alice.encrypt_block(plain, rng)
+    recovered = bob.decrypt_block((y1, y2))
     print("\n-- alice enciphers one message block for bob --")
     show("message block H:", plain)
-    show("cipher part y1 = J^m G J^n:", block.y1)
-    show("cipher part y2 = H J^m B' J^n:", block.y2)
+    show("cipher part y1 = J^m G J^n:", y1)
+    show("cipher part y2 = H J^m B' J^n:", y2)
     show("bob recovers y2 (B^m y1 B^n)^-1:", recovered)
 
     success = recovered == plain and agreed and consistent

@@ -19,7 +19,6 @@ plaintext downstream).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +32,6 @@ class Phase(enum.Enum):
     FRESH = "fresh"
     KEYED = "keyed"
     SESSION_OPEN = "session-open"
-
-
-@dataclass(frozen=True)
-class CipherBlock:
-    """One encrypted block: y1 masks the ephemeral element, y2 carries the payload."""
-
-    y1: MatrixFp
-    y2: MatrixFp
 
 
 def extract_exponents(key: MatrixFp) -> tuple[int, int]:
@@ -164,22 +155,30 @@ class Entity:
         k2 = rng.nonzero(self.p)
         self._initial_exponents = (k1, k2)
         self._eigenvalues = DiagonalSpec.random(rng, self.d, self.p)
-        return self._sandwich(self.generator, (k1, k2))
+        return MatrixFp(self._sandwich(self.generator, (k1, k2), self._eigenvalues.values), self.p)
 
     def derive_session_key(self, peer_token: MatrixFp) -> None:
         """Combine the peer's setup token into the first common key."""
         if self.phase is not Phase.FRESH or self._initial_exponents is None:
             raise ProtocolError("derive_session_key requires keygen on a fresh entity")
         self._check_received(peer_token=peer_token)
-        self._set_key(self._sandwich(peer_token, self._initial_exponents))
+        key = self._sandwich(peer_token, self._initial_exponents, self._eigenvalues.values)
+        self._set_key(MatrixFp(key, self.p))
         self.peer_token = peer_token
         self.phase = Phase.KEYED
 
-    def _sandwich(self, x: MatrixFp, exponents: tuple[int, int]) -> MatrixFp:
-        """A^e1 x A^e2 for this entity's private element A, (e1, e2) = exponents."""
-        ctx = self.context
-        weights = self._sandwich_weights(np.array(self._eigenvalues.values), exponents)
-        return MatrixFp(ctx.from_eigenbasis(weights * ctx.to_eigenbasis(x) % self.p), self.p)
+    def _sandwich(self, x, exponents: tuple[int, int], eigenvalues) -> np.ndarray:
+        """Z^e1 x Z^e2 as int64 residues, for a matrix or an (..., d, d) stack
+        x and each eigenvalue list λ on the last axis of `eigenvalues`, where
+        Z = P diag(λ) P^-1 shares this entity's basis P and (e1, e2) = exponents.
+
+        Z^e1 x Z^e2 = P (outer(λ^e1, λ^e2) ∘ x~) P^-1 with x~ = P^-1 x P, so a
+        sandwich costs no matrix power.  Leading axes broadcast.
+        """
+        ctx, eigenvalues = self.context, np.asarray(eigenvalues)
+        left, right = (power_table(e, self.p)[eigenvalues] for e in exponents)
+        weights = left[..., :, np.newaxis] * right[..., np.newaxis, :] % self.p
+        return ctx.from_eigenbasis(weights * ctx.to_eigenbasis(x) % self.p)
 
     def _set_key(self, key: MatrixFp) -> None:
         # the exponent pair is always the one extracted from the current key
@@ -198,7 +197,7 @@ class Entity:
         self.context = CommutingContext(k_m @ self.basis @ k_n)
         self.generator = k_m @ self.generator @ k_n
         self.peer_token = None  # previous session's token is stale now
-        return self._sandwich(self.generator, (m2, n2))
+        return MatrixFp(self._sandwich(self.generator, (m2, n2), self._eigenvalues.values), self.p)
 
     def open_session(self) -> MatrixFp:
         """Start a new cipher session; returns the token to send.
@@ -254,17 +253,15 @@ class Entity:
         if self.peer_token is None:
             raise ProtocolError("no session token from peer")
         plains = self._check_blocks("plaintext", plains)
-        p, ctx = self.p, self.context
         ephemeral = np.array(
-            [rng.distinct_nonzero(self.d, p) for _ in range(len(plains))], dtype=np.int64
-        ).reshape(-1, self.d)
+            [rng.distinct_nonzero(self.d, self.p) for _ in range(len(plains))], dtype=np.int64
+        ).reshape(-1, 1, self.d)
         # J^m X J^n for X in (G, B'), B' the peer's session token, for every
         # block at once: y1 = J^m G J^n and y2 = H (J^m B' J^n)
-        public = ctx.to_eigenbasis(np.stack([self.generator.array, self.peer_token.array]))
-        weights = self._sandwich_weights(ephemeral, self.exponents)[:, np.newaxis]
-        sandwiches = ctx.from_eigenbasis(weights * public % p)
+        public = np.stack([self.generator.array, self.peer_token.array])
+        sandwiches = self._sandwich(public, self.exponents, ephemeral)
         y1, mask = sandwiches[:, 0], sandwiches[:, 1]
-        y2 = plains.astype(np.int64) @ mask % p
+        y2 = plains.astype(np.int64) @ mask % self.p
         return y1.astype(np.uint8), y2.astype(np.uint8)
 
     def decrypt_blocks(self, y1, y2) -> np.ndarray:
@@ -275,49 +272,38 @@ class Entity:
         y1, y2 = self._check_blocks("y1", y1), self._check_blocks("y2", y2)
         if y2.shape != y1.shape:
             raise ValueError("y1 and y2 hold different numbers of blocks")
-        p, ctx = self.p, self.context
-        # B^m y1 B^n in the eigenbasis; y2 (B^m y1 B^n)^-1 = y2 P (that)^-1 P^-1
-        weights = self._sandwich_weights(np.array(self._eigenvalues.values), self.exponents)
-        masked = weights * ctx.to_eigenbasis(y1) % p
+        # y2 (B^m y1 B^n)^-1, B this entity's private element
         try:
-            unmask = inv_stack(masked, p)
+            unmask = inv_stack(self._sandwich(y1, self.exponents, self._eigenvalues.values), self.p)
         except SingularMatrixError as exc:
             raise ProtocolError("malformed ciphertext: masked generator is singular") from exc
-        return (y2.astype(np.int64) @ ctx.from_eigenbasis(unmask) % p).astype(np.uint8)
+        return (y2.astype(np.int64) @ unmask % self.p).astype(np.uint8)
 
     def _check_blocks(self, name: str, blocks) -> np.ndarray:
         """`blocks` as an (N, d, d) integer array of residues in [0, p), or
-        ValueError: entries outside the field would be reduced silently."""
-        blocks = np.asarray(blocks)
-        if blocks.ndim != 3 or blocks.shape[1:] != (self.d, self.d):
+        ValueError: entries outside the field would be reduced silently, and
+        a MatrixFp over another field would be read as residues mod p."""
+        stack = np.asarray(blocks)
+        if stack.ndim != 3 or stack.shape[1:] != (self.d, self.d):
             raise ValueError(f"{name} blocks have wrong dimensions")
-        if (blocks.dtype.kind not in "iu"
-                or blocks.min(initial=0) < 0 or blocks.max(initial=0) >= self.p):
+        if (stack.dtype.kind not in "iu"
+                or stack.min(initial=0) < 0 or stack.max(initial=0) >= self.p):
             raise ValueError(f"{name} block entries must be residues in [0, {self.p})")
-        return blocks
+        if not isinstance(blocks, np.ndarray) and any(
+                isinstance(b, MatrixFp) and b.p != self.p for b in blocks):
+            raise ValueError(f"{name} block has wrong modulus")
+        return stack
 
-    def _sandwich_weights(self, eigenvalues: np.ndarray, exponents: tuple[int, int]) -> np.ndarray:
-        """outer(λ^m, λ^n) for each eigenvalue list λ (the last axis), with
-        (m, n) = exponents.
-
-        For Z = P diag(λ) P^-1, Z^m X Z^n = P (outer(λ^m, λ^n) ∘ X~) P^-1
-        where X~ = P^-1 X P, so a sandwich costs no matrix power.
-        """
-        m_powers, n_powers = (power_table(e, self.p)[eigenvalues] for e in exponents)
-        return m_powers[..., :, np.newaxis] * n_powers[..., np.newaxis, :] % self.p
-
-    def encrypt_block(self, plain, rng: RandomSource) -> CipherBlock:
-        """Encrypt one (d, d) block, a MatrixFp or any array-like of residues:
-        the N=1 case of encrypt_blocks."""
-        if isinstance(plain, MatrixFp) and plain.p != self.p:
-            raise ValueError("plaintext block has wrong modulus")
+    def encrypt_block(self, plain, rng: RandomSource) -> tuple[MatrixFp, MatrixFp]:
+        """Encrypt one (d, d) block, a MatrixFp or any array-like of residues,
+        into the pair (y1, y2): the N=1 case of encrypt_blocks."""
         y1, y2 = self.encrypt_blocks([plain], rng)
-        return CipherBlock(MatrixFp(y1[0], self.p), MatrixFp(y2[0], self.p))
+        return MatrixFp(y1[0], self.p), MatrixFp(y2[0], self.p)
 
-    def decrypt_block(self, block: CipherBlock) -> MatrixFp:
-        """Invert one block: the N=1 case of decrypt_blocks."""
-        plain = self.decrypt_blocks(block.y1.array[np.newaxis], block.y2.array[np.newaxis])
-        return MatrixFp(plain[0], self.p)
+    def decrypt_block(self, block) -> MatrixFp:
+        """Invert one (y1, y2) pair: the N=1 case of decrypt_blocks."""
+        y1, y2 = block
+        return MatrixFp(self.decrypt_blocks([y1], [y2])[0], self.p)
 
     # -- persistence (used by the CLI state files) ------------------------------
 

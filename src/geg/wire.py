@@ -45,7 +45,6 @@ from .errors import (
 )
 from .field import DEFAULT_PRIME
 from .linalg import MatrixFp
-from .protocol import CipherBlock
 
 MAGIC = b"GEG1"
 HEADER_LEN = 10
@@ -164,22 +163,18 @@ def matrix_from_message(msg: WireMessage) -> MatrixFp:
     return bytes_to_matrix(msg.payload, msg.d)
 
 
-def cipher_block_message(block: CipherBlock) -> WireMessage:
-    return WireMessage(
-        MSG_CIPHER_BLOCK,
-        block.y1.d,
-        matrix_to_bytes(block.y1) + matrix_to_bytes(block.y2),
-    )
+def cipher_block_message(block: tuple[MatrixFp, MatrixFp]) -> WireMessage:
+    """The message of one (y1, y2) pair: the N=1 case of cipher_frames."""
+    y1, y2 = block
+    return WireMessage(MSG_CIPHER_BLOCK, y1.d,
+                       cipher_frames(y1.array[np.newaxis], y2.array[np.newaxis])[HEADER_LEN:])
 
 
-def cipher_block_from_message(msg: WireMessage) -> CipherBlock:
-    if msg.msg_type != MSG_CIPHER_BLOCK:
-        raise FrameTypeError("not a cipher-block message")
-    half = msg.d * msg.d
-    return CipherBlock(
-        bytes_to_matrix(msg.payload[:half], msg.d),
-        bytes_to_matrix(msg.payload[half:], msg.d),
-    )
+def cipher_block_from_message(msg: WireMessage) -> tuple[MatrixFp, MatrixFp]:
+    """The (y1, y2) pair of one cipher-block message: the N=1 case of
+    read_cipher_blocks, which raises what read_frame would."""
+    y1, y2 = read_cipher_blocks(frame(msg), 0, msg.d)
+    return MatrixFp(y1[0]), MatrixFp(y2[0])
 
 
 def cipher_frames(y1: np.ndarray, y2: np.ndarray) -> bytes:

@@ -217,8 +217,8 @@ class TestFileCrypto:
         # the CLI's stream, read frame by frame
         frames = list(wire.iter_frames(enc.read_bytes()))[1:]
         cipher = [wire.cipher_block_from_message(msg) for msg in frames]
-        assert [c.y1.tolist() for c in cipher] == [y.tolist() for y in want_y1]
-        assert [c.y2.tolist() for c in cipher] == [y.tolist() for y in want_y2]
+        assert [y1.tolist() for y1, _ in cipher] == [y.tolist() for y in want_y1]
+        assert [y2.tolist() for _, y2 in cipher] == [y.tolist() for y in want_y2]
         # and one encrypt_blocks call over all blocks
         y1, y2 = entity.encrypt_blocks(np.array(plains), RandomSource.deterministic(bytes.fromhex("11")))
         assert y1.tolist() == [y.tolist() for y in want_y1]
@@ -318,6 +318,22 @@ class TestStatePersistence:
         for entity in handshake(*setup_shared(rng, 8), rng):
             assert entity.phase is Phase.KEYED and entity.peer_token is not None
             with pytest.raises(GegError, match="no open session"):
+                save_state(tmp_path / entity.role, entity)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("d, p", [(4, 251), (8, 11)])
+    def test_save_unloadable_field_rejected(self, tmp_path, d, p):
+        # saved, these came to 81 and 277 bytes that load_state refused
+        from geg.cli import save_state
+        from geg.errors import GegError
+        from geg.field import RandomSource
+        from geg.protocol import handshake, setup_shared, start_session
+
+        rng = RandomSource.deterministic(7)
+        pair = handshake(*setup_shared(rng, d, p), rng)
+        start_session(*pair)
+        for entity in pair:
+            with pytest.raises(GegError, match=f"not d={d} over F_{p}"):
                 save_state(tmp_path / entity.role, entity)
         assert list(tmp_path.iterdir()) == []
 

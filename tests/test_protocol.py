@@ -6,7 +6,6 @@ from geg.errors import ProtocolError
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
 from geg.protocol import (
-    CipherBlock,
     Entity,
     Phase,
     extract_exponents,
@@ -273,24 +272,24 @@ class TestCipher:
         plain = MatrixFp.random(rng, 8, 251)
         one = alice.encrypt_block(plain, rng)
         two = alice.encrypt_block(plain, rng)
-        assert one.y1 != two.y1 and one.y2 != two.y2
+        assert one[0] != two[0] and one[1] != two[1]
         assert bob.decrypt_block(one) == plain == bob.decrypt_block(two)
 
     def test_y1_invertible(self):
         alice, bob, rng = make_pair(17)
         start_session(alice, bob)
         for _ in range(20):
-            block = alice.encrypt_block(MatrixFp.random(rng, 8, 251), rng)
-            assert block.y1.det() != 0
+            y1, _ = alice.encrypt_block(MatrixFp.random(rng, 8, 251), rng)
+            assert y1.det() != 0
 
     def test_tampered_payload_decrypts_wrong(self):
         alice, bob, rng = make_pair(18)
         start_session(alice, bob)
         plain = MatrixFp.random(rng, 8, 251)
-        block = alice.encrypt_block(plain, rng)
-        rows = block.y2.tolist()
+        y1, y2 = alice.encrypt_block(plain, rng)
+        rows = y2.tolist()
         rows[0][0] = (rows[0][0] + 1) % 251
-        tampered = CipherBlock(block.y1, MatrixFp(rows, 251))
+        tampered = (y1, MatrixFp(rows, 251))
         assert bob.decrypt_block(tampered) != plain
 
     def test_mismatched_session_decrypts_wrong(self):
@@ -345,11 +344,15 @@ class TestCipher:
         with pytest.raises(ValueError, match="residues"):
             bob.decrypt_blocks(*cipher)
 
-    def test_block_of_another_modulus_rejected(self):
+    @pytest.mark.parametrize("batch", [False, True], ids=["encrypt_block", "encrypt_blocks"])
+    def test_block_of_another_modulus_rejected(self, batch):
+        # encrypt_blocks took the entries as residues mod 251 and decrypted
+        # them to a matrix over F_251
         alice, bob, rng = make_pair(26)
         start_session(alice, bob)
+        plain = MatrixFp.identity(8, 7)
         with pytest.raises(ValueError, match="modulus"):
-            alice.encrypt_block(MatrixFp.identity(8, 7), rng)
+            alice.encrypt_blocks([plain], rng) if batch else alice.encrypt_block(plain, rng)
 
     def test_block_may_be_any_array_like(self):
         alice, bob, _ = make_pair(27)

@@ -19,3 +19,12 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_wire_imports_no_protocol():
+    # the frame codec sits below the protocol: it knows matrices, not entities
+    tree = ast.parse((SRC / "wire.py").read_text())
+    imported = {node.module or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert imported <= {"errors", "field", "linalg"}

@@ -9,7 +9,6 @@ from geg import errors, wire
 from geg.errors import CodecError, CorruptBlockError, PaddingError
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
-from geg.protocol import CipherBlock
 
 from oracles import loop_decode_plaintext, loop_encode_plaintext
 
@@ -36,7 +35,7 @@ class TestFraming:
 
     def test_cipher_block_round_trip(self):
         rng = RandomSource.deterministic(0)
-        block = CipherBlock(MatrixFp.random(rng, 8, 251), MatrixFp.random(rng, 8, 251))
+        block = (MatrixFp.random(rng, 8, 251), MatrixFp.random(rng, 8, 251))
         msg = wire.cipher_block_message(block)
         parsed = wire.parse(wire.frame(msg))
         assert wire.cipher_block_from_message(parsed) == block
@@ -45,7 +44,7 @@ class TestFraming:
     def test_cipher_block_message_is_one_bulk_frame(self, d):
         rng = RandomSource.deterministic(d)
         y1, y2 = MatrixFp.random(rng, d, 251), MatrixFp.random(rng, d, 251)
-        raw = wire.frame(wire.cipher_block_message(CipherBlock(y1, y2)))
+        raw = wire.frame(wire.cipher_block_message((y1, y2)))
         assert raw == wire.cipher_frames(y1.array[np.newaxis], y2.array[np.newaxis])
 
     @pytest.mark.parametrize("payload, error", [
