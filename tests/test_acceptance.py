@@ -7,6 +7,7 @@ of it: the exact product ties to criteria 6b and 7, and 10^153.177 would make
 most uniform 8x8 matrices singular.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -220,11 +221,17 @@ def test_criterion_09_element_order():
     assert element_order(companion_matrix(PolyFp([1, 1, 0, 1], 2))) == 7
     rng = RandomSource.deterministic(b"criterion-09")
     group_order = 251**8 - 1
+    orders = []
     for _ in range(100):
         f = rand_irreducible(rng, 8, 251)
         order = element_order(companion_matrix(f))
         assert group_order % order == 0
+        orders.append(order)
     elapsed = time.perf_counter() - start
+    # the seeded orders, and where the stream stands after them
+    digest = hashlib.sha256(",".join(map(str, orders)).encode()).hexdigest()
+    assert digest == "408a4a49de6e3a713f7ed10396515205340ca340b90786dcea24e006f4759af6"
+    assert rng.randbelow(2**30) == 209754216
     report("09", "element-order", True, f"100 orders in {elapsed:.1f} s")
     assert elapsed < 120.0
 

@@ -108,7 +108,10 @@ class TestIrreducibility:
         with pytest.raises(ValueError):
             is_irreducible(PolyFp([1, 2], 5))
 
-    @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3)])
+    @pytest.mark.parametrize(
+        "p,d",
+        [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3), (2, 5), (2, 6), (3, 4), (5, 3), (7, 2)],
+    )
     def test_matches_trial_division_exhaustively(self, p, d):
         for coeffs in all_monic_polys(d, p):
             assert is_irreducible(PolyFp(coeffs, p)) == irreducible_by_trial_division(
@@ -162,6 +165,35 @@ class TestRandIrreducible:
         runs = 200
         total = sum(rand_irreducible_counted(rng, 8, 251)[1] for _ in range(runs))
         assert 6.0 <= total / runs <= 10.0
+
+    # the first 20 seeded draws of each stream, then the stream's next randbelow(2**30)
+    SEEDED_DRAWS = {
+        (8, 251): (b"pin-rand-irreducible-8", [
+            (106, 103, 77, 225, 31, 149, 81, 196, 1), (71, 40, 143, 106, 137, 170, 186, 161, 1),
+            (215, 161, 170, 190, 7, 28, 203, 176, 1), (117, 207, 5, 238, 132, 233, 211, 18, 1),
+            (192, 205, 171, 159, 55, 192, 238, 36, 1), (131, 115, 152, 239, 4, 236, 247, 95, 1),
+            (197, 196, 241, 67, 191, 52, 57, 124, 1), (234, 92, 174, 99, 78, 199, 143, 74, 1),
+            (19, 232, 231, 246, 87, 176, 68, 137, 1), (207, 138, 64, 226, 65, 66, 248, 237, 1),
+            (107, 68, 157, 86, 192, 31, 76, 12, 1), (30, 199, 57, 195, 233, 106, 11, 105, 1),
+            (230, 51, 11, 244, 127, 143, 137, 70, 1), (249, 63, 222, 148, 233, 179, 108, 130, 1),
+            (232, 12, 232, 50, 56, 227, 193, 111, 1), (191, 250, 153, 91, 23, 18, 131, 28, 1),
+            (229, 93, 187, 19, 148, 79, 73, 51, 1), (81, 57, 164, 14, 207, 189, 47, 201, 1),
+            (221, 94, 204, 225, 91, 71, 156, 217, 1), (240, 7, 196, 29, 10, 32, 86, 229, 1),
+        ], 226579266),
+        (4, 7): (b"pin-rand-irreducible-4", [
+            (6, 6, 1, 5, 1), (5, 3, 3, 0, 1), (4, 1, 3, 6, 1), (2, 6, 4, 0, 1), (4, 4, 5, 5, 1),
+            (2, 3, 6, 4, 1), (5, 5, 0, 5, 1), (4, 2, 2, 2, 1), (4, 3, 1, 2, 1), (4, 3, 3, 0, 1),
+            (2, 1, 4, 5, 1), (3, 2, 3, 2, 1), (4, 0, 4, 4, 1), (4, 1, 6, 5, 1), (2, 3, 5, 6, 1),
+            (5, 5, 3, 1, 1), (2, 5, 4, 4, 1), (5, 3, 5, 3, 1), (3, 2, 5, 4, 1), (4, 2, 3, 3, 1),
+        ], 537041917),
+    }
+
+    @pytest.mark.parametrize("d,p", sorted(SEEDED_DRAWS))
+    def test_seeded_draws_and_stream_position(self, d, p):
+        seed, draws, next_draw = self.SEEDED_DRAWS[d, p]
+        rng = RandomSource.deterministic(seed)
+        assert [rand_irreducible(rng, d, p).coeffs for _ in range(20)] == draws
+        assert rng.randbelow(2**30) == next_draw
 
     def test_f2_cubics_equidistributed(self):
         rng = RandomSource.deterministic(6)
