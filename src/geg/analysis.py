@@ -68,6 +68,8 @@ def subgroup_orders(d: int, p: int) -> SubgroupOrders:
 def singular_probability_closed(d: int, p: int) -> float:
     """Probability a uniform d-by-d matrix over F_p is singular, exact form."""
     validate_prime(p)
+    if d < 1:
+        raise ValueError("d >= 1 required")
     prod = Fraction(1)
     for i in range(1, d + 1):
         prod *= 1 - Fraction(1, p**i)

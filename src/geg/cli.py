@@ -261,6 +261,8 @@ def run_decrypt(args) -> int:
         raise CodecError(
             f"ciphertext parameters d={d}, p={p} do not match state d={entity.d}, p={entity.p}"
         )
+    if offset == len(raw):
+        raise FrameLengthError("ciphertext stream holds no cipher-block frames")
     y1, y2 = wire.read_cipher_blocks(raw, offset, d)
     plains = np.empty_like(y1)
     for start in range(0, len(y1), BATCH_BLOCKS):

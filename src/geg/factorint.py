@@ -17,7 +17,12 @@ TRIAL_LIMIT = 1_000_000
 
 
 def pollard_rho(n: int) -> int:
-    """A non-trivial factor of composite odd n (Brent's cycle variant)."""
+    """A non-trivial factor of composite n (Brent's cycle variant).
+
+    Raises ValueError for n < 4 and for prime n, which have no such factor.
+    """
+    if n < 4 or is_probable_prime(n):
+        raise ValueError(f"a composite n >= 4 required, got {n}")
     if n % 2 == 0:
         return 2
     for c in range(1, 64):

@@ -54,8 +54,8 @@ def validate_prime(p: int) -> int:
 
 def power(x, e: int, mul, one):
     """x**e by square and multiply, under an associative `mul` whose identity
-    is `one`: the one exponentiation loop for residues, matrices and
-    polynomials alike."""
+    is `one`: the one exponentiation loop for residue arrays and matrices
+    alike."""
     if e < 0:
         raise ValueError("negative exponents unsupported; invert first")
     result = one

@@ -79,6 +79,11 @@ class TestSingularProbability:
         singular = sum(1 for m in all_matrices(2, 3) if m.det() == 0)
         assert abs(singular_probability_closed(2, 3) - singular / 81) < 1e-12
 
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_closed_form_rejects_empty_dimension(self, d):
+        with pytest.raises(ValueError, match="d >= 1"):
+            singular_probability_closed(d, 251)
+
     def test_monte_carlo_tracks_closed_form(self):
         rng = RandomSource.deterministic(b"mc")
         est = singular_probability(8, 251, 20_000, rng)

@@ -175,6 +175,7 @@ class TestFileCrypto:
                                    cli.EXIT_CODEC, "not a cipher-block message"),
         "other-d-byte": (lambda s: s[:155] + b"\x10" + s[156:], cli.EXIT_CODEC, "d=16"),
         "singular-y1": (lambda s: s[:160] + bytes(64) + s[224:], cli.EXIT_PROTOCOL, "singular"),
+        "context-frame-only": (lambda s: s[:12], cli.EXIT_CODEC, "holds no cipher-block frames"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
