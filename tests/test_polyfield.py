@@ -57,7 +57,7 @@ class TestIrreducibility:
             is_irreducible(PolyFp([1, 2], 5))
 
     def test_modulus_above_byte_prime_rejected(self):
-        # the test runs on companion matrices, which hold byte-sized residues
+        # the tower runs on companion matrices, which hold byte-sized residues
         with pytest.raises(ValueError, match="p <= 251"):
             is_irreducible(PolyFp([1, 0, 1], 257))
 
