@@ -12,7 +12,7 @@ import sys
 if "numpy" not in sys.modules:  # no float products here: BLAS threads only cost start-up and exit
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .commuting import CommutingContext, DiagonalSpec, commutes
+from .commuting import CommutingContext, DiagonalSpec
 from .errors import (
     CodecError,
     CorruptBlockError,
@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .field import DEFAULT_PRIME, RandomSource
-from .linalg import MatrixFp, companion_matrix
+from .linalg import MatrixFp
 from .protocol import (
     Entity,
     Phase,
@@ -56,8 +56,6 @@ __all__ = [
     "ProtocolError",
     "RandomSource",
     "SingularMatrixError",
-    "commutes",
-    "companion_matrix",
     "extract_exponents",
     "handshake",
     "setup_shared",

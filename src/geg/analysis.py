@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .commuting import CommutingContext, DiagonalSpec
 from .field import RandomSource, validate_prime
 from .linalg import MatrixFp, det_stack
@@ -126,12 +128,21 @@ def relation_holds(x: MatrixFp, y: MatrixFp, z: MatrixFp, m: int, n: int) -> boo
     return z.pow(m) @ x @ z.pow(n) == y
 
 
+def is_member(context: CommutingContext, z: MatrixFp) -> bool:
+    """True iff z is an invertible conjugated diagonal of `context`."""
+    if z.d != context.d or z.p != context.p:
+        return False
+    inner = context.to_eigenbasis(z)
+    # every nonzero entry on the diagonal, and all d of them nonzero
+    return np.count_nonzero(inner) == np.count_nonzero(np.diagonal(inner)) == context.d
+
+
 def gsdp_verify(inst: GsdpInstance, z: MatrixFp) -> bool:
     """True iff z lies in the instance's commuting subgroup and satisfies the
     decomposition relation with the instance's exponents."""
     if inst.exp_left is None or inst.exp_right is None:
         raise ValueError("instance carries no exponents; use the blind solver")
-    if not inst.context.is_member(z):
+    if not is_member(inst.context, z):
         return False
     return relation_holds(inst.x, inst.y, z, inst.exp_left, inst.exp_right)
 
@@ -140,7 +151,7 @@ def make_instance(
     rng: RandomSource, d: int, p: int, max_exp: int
 ) -> tuple[GsdpInstance, tuple[MatrixFp, int, int]]:
     """Generate a solvable instance plus the construction witness."""
-    context = CommutingContext.random(rng, d, p)
+    context = CommutingContext(MatrixFp.random_invertible(rng, d, p))
     x = MatrixFp.random_invertible(rng, d, p)
     z = context.random_element(rng)
     m = 1 + rng.randbelow(max_exp)

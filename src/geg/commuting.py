@@ -4,7 +4,9 @@ Two diagonalizable matrices commute exactly when they share an eigenbasis, so
 conjugating diagonal matrices by one fixed invertible basis matrix yields a
 commutative subgroup whose members are indistinguishable from generic group
 elements.  Every element built from the same context commutes with every
-other one; that property is what makes the key agreement close.
+other one; that property is what makes the key agreement close.  The
+protocol reaches the subgroup only through a context's change of basis;
+the membership test belongs to the decomposition oracle, `geg.analysis`.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class CommutingContext:
         if self.basis @ self.basis_inv != MatrixFp.identity(basis.d, basis.p):
             raise GegError("cached basis inverse does not invert the basis")
 
-    @classmethod
-    def random(cls, rng: RandomSource, d: int, p: int = DEFAULT_PRIME) -> "CommutingContext":
-        return cls(MatrixFp.random_invertible(rng, d, p))
-
     @property
     def d(self) -> int:
         return self.basis.d
@@ -106,15 +104,3 @@ class CommutingContext:
     def random_element(self, rng: RandomSource) -> MatrixFp:
         """Fresh subgroup member; commutes with everything from this context."""
         return self.conjugate(DiagonalSpec.random(rng, self.d, self.p))
-
-    def is_member(self, z: MatrixFp) -> bool:
-        """True iff z is an invertible conjugated diagonal of this context."""
-        if z.d != self.d or z.p != self.p:
-            return False
-        inner = self.to_eigenbasis(z)
-        # every nonzero entry on the diagonal, and all d of them nonzero
-        return np.count_nonzero(inner) == np.count_nonzero(np.diagonal(inner)) == self.d
-
-
-def commutes(a: MatrixFp, b: MatrixFp) -> bool:
-    return a @ b == b @ a

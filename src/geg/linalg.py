@@ -9,8 +9,6 @@ protocol sizes, anything >= 2 works for analysis).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from .errors import SingularMatrixError
@@ -52,10 +50,6 @@ class MatrixFp:
     @classmethod
     def identity(cls, d: int, p: int = DEFAULT_PRIME) -> "MatrixFp":
         return cls(np.eye(d, dtype=np.int64), p)
-
-    @classmethod
-    def diagonal(cls, values, p: int = DEFAULT_PRIME) -> "MatrixFp":
-        return cls(np.diag(np.asarray(list(values), dtype=np.int64)), p)
 
     @classmethod
     def random(cls, rng: RandomSource, d: int, p: int = DEFAULT_PRIME) -> "MatrixFp":
@@ -192,36 +186,3 @@ def inv_stack(stack, p: int = DEFAULT_PRIME) -> np.ndarray:
     if singular.size:
         raise SingularMatrixError(f"matrix {singular[0]} of the stack has no inverse mod {p}")
     return aug[:, :, d:]
-
-
-def companion_matrix(poly) -> MatrixFp:
-    """Companion matrix of a monic polynomial (degree >= 2).
-
-    Ones on the subdiagonal, negated coefficients down the last column with
-    the constant term in row one; its characteristic polynomial equals the
-    input, so for irreducible input it generates a cyclic subgroup of
-    GL(d, F_p).
-    """
-    coeffs = tuple(poly.coeffs)
-    p = poly.p
-    if not coeffs or coeffs[-1] != 1:
-        raise ValueError("companion matrix requires a monic polynomial")
-    d = len(coeffs) - 1
-    if d < 2:
-        raise ValueError("companion matrix requires degree >= 2")
-    m = np.zeros((d, d), dtype=np.int64)
-    m[np.arange(1, d), np.arange(d - 1)] = 1
-    m[:, d - 1] = [(-c) % p for c in coeffs[:-1]]
-    return MatrixFp(m, p)
-
-
-def all_matrices(d: int, p: int) -> Iterator[MatrixFp]:
-    """Every d-by-d matrix over GF(p), for exhaustive desk-scale checks."""
-    total = d * d
-    for code in range(p**total):
-        entries = []
-        v = code
-        for _ in range(total):
-            entries.append(v % p)
-            v //= p
-        yield MatrixFp(np.asarray(entries, dtype=np.int64).reshape(d, d), p)

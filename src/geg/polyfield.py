@@ -2,12 +2,14 @@
 and multiplicative-order computation.
 
 `PolyFp` only holds coefficients: the arithmetic runs on companion matrices
-in the matrix layer, so p <= 251.  The irreducibility test is the
-deterministic gcd tower (not trial division); per candidate it costs d
-matrix powers U -> U**p, about 1.5 d log2(p) products of d-by-d matrices or
-O(d**4 log p) field operations, and one batched determinant.  A random
-monic degree-d candidate is irreducible with probability about 1/d, so
-random generation takes about d trials.
+(`companion_matrix`) in the matrix layer, so p <= 251, and a polynomial over
+a larger prime is refused before it is built or drawn.  The irreducibility
+test is the deterministic gcd tower (not trial division); per candidate it
+costs d matrix powers U -> U**p on int64 residue arrays, about
+1.5 d log2(p) products of d-by-d matrices or O(d**4 log p) field
+operations, and one batched determinant.  A random monic degree-d
+candidate is irreducible with probability about 1/d, so random generation
+takes about d trials.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .factorint import factorize
-from .field import DEFAULT_PRIME, RandomSource, validate_prime
-from .linalg import MatrixFp, companion_matrix, det_stack
+from .field import DEFAULT_PRIME, RandomSource, power, validate_prime
+from .linalg import MatrixFp, _check_modulus, det_stack  # the matrix layer's p <= 251
 
 ORDER_LIMIT = 1 << 64
 
@@ -28,7 +30,7 @@ class PolyFp:
     __slots__ = ("coeffs", "p")
 
     def __init__(self, coeffs, p: int = DEFAULT_PRIME):
-        validate_prime(p)
+        _check_modulus(p)
         c = []
         for v in coeffs:
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
@@ -45,6 +47,7 @@ class PolyFp:
     def random_monic(cls, rng: RandomSource, degree: int, p: int = DEFAULT_PRIME) -> "PolyFp":
         if degree < 1:
             raise ValueError("degree >= 1 required")
+        _check_modulus(p)  # before the first draw
         return cls([rng.randbelow(p) for _ in range(degree)] + [1], p)
 
     # -- structure -----------------------------------------------------------
@@ -85,6 +88,27 @@ class PolyFp:
         return f"PolyFp({' + '.join(terms)}, p={self.p})"
 
 
+def companion_matrix(poly: PolyFp) -> MatrixFp:
+    """Companion matrix of a monic polynomial (degree >= 2).
+
+    Ones on the subdiagonal, negated coefficients down the last column with
+    the constant term in row one; its characteristic polynomial equals the
+    input, so for irreducible input it generates a cyclic subgroup of
+    GL(d, F_p).
+    """
+    if not poly.is_monic:
+        raise ValueError("companion matrix requires a monic polynomial")
+    if poly.degree < 2:
+        raise ValueError("companion matrix requires degree >= 2")
+    return MatrixFp(_companion(poly), poly.p)
+
+
+def _companion(poly: PolyFp) -> np.ndarray:
+    m = np.eye(poly.degree, k=-1, dtype=np.int64)
+    m[:, -1] = [(-c) % poly.p for c in poly.coeffs[:-1]]
+    return m
+
+
 def is_irreducible(f: PolyFp) -> bool:
     """Deterministic gcd-tower irreducibility test for monic f, degree >= 1.
 
@@ -93,22 +117,25 @@ def is_irreducible(f: PolyFp) -> bool:
     whose minimal polynomial is f, these read C**(p**d) == C and
     det(C**(p**(d/q)) - C) != 0.
     """
-    d = f.degree
+    d, p = f.degree, f.p
     if d < 1:
         return False
     if not f.is_monic:
         raise ValueError("irreducibility test requires a monic polynomial")
     if d == 1:
         return True
-    c = companion_matrix(f)
+    # int64 residue arrays, not MatrixFp: at desk-scale d constructing a
+    # MatrixFp per tower step costs more than its product
+    c = _companion(f)
+    mul, one = (lambda a, b: a @ b % p), np.eye(d, dtype=np.int64)
     proper = {d // q for q in factorize(d)}
     u = c
     towers = []  # C**(p**(d/q)) - C for each prime q | d
     for j in range(1, d + 1):
-        u = u.pow(f.p)
+        u = power(u, p, mul, one)
         if j in proper:
-            towers.append(u.array.astype(np.int64) - c.array)
-    return u == c and bool(det_stack(towers, f.p).all())
+            towers.append(u - c)
+    return bool((u == c).all() and det_stack(towers, p).all())
 
 
 def rand_irreducible_counted(

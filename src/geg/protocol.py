@@ -125,13 +125,6 @@ class Entity:
         return self._eigenvalues
 
     @property
-    def private_element(self) -> MatrixFp | None:
-        """Current private commuting element; tracks the session basis."""
-        if self._eigenvalues is None:
-            return None
-        return self.context.conjugate(self._eigenvalues)
-
-    @property
     def initial_exponents(self) -> tuple[int, int] | None:
         """Private exponent pair used only for the setup token."""
         return self._initial_exponents

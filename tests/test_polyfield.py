@@ -4,9 +4,10 @@ import pytest
 from geg.errors import SingularMatrixError
 from geg.factorint import factorize, is_probable_prime, pollard_rho
 from geg.field import RandomSource
-from geg.linalg import MatrixFp, companion_matrix
+from geg.linalg import MatrixFp
 from geg.polyfield import (
     PolyFp,
+    companion_matrix,
     count_irreducible_monic,
     count_monic_nontrivial,
     element_order,
@@ -60,6 +61,15 @@ class TestIrreducibility:
         # the tower runs on companion matrices, which hold byte-sized residues
         with pytest.raises(ValueError, match="p <= 251"):
             is_irreducible(PolyFp([1, 0, 1], 257))
+
+    def test_modulus_above_byte_prime_refused_on_entry(self):
+        # degree 1 needs no matrix, and a refused draw leaves the stream untouched
+        with pytest.raises(ValueError, match="p <= 251"):
+            is_irreducible(PolyFp([3, 1], 257))
+        rng = RandomSource.deterministic(b"refused-257")
+        with pytest.raises(ValueError, match="p <= 251"):
+            rand_irreducible_counted(rng, 3, 257)
+        assert rng.randbelow(2**30) == RandomSource.deterministic(b"refused-257").randbelow(2**30)
 
     @pytest.mark.parametrize(
         "p,d",

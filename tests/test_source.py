@@ -28,3 +28,14 @@ def test_wire_imports_no_protocol():
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names}
     assert imported <= {"errors", "field", "linalg"}
+
+
+def test_package_exports():
+    # the protocol names only: the analysis toolkit is imported by module name
+    assert all(hasattr(geg, name) for name in geg.__all__)
+    assert sorted(geg.__all__) == [
+        "CodecError", "CommutingContext", "CorruptBlockError", "DEFAULT_PRIME", "DiagonalSpec",
+        "Entity", "FrameLengthError", "FrameMagicError", "FrameTypeError", "FrameValueError",
+        "GegError", "MatrixFp", "PaddingError", "Phase", "ProtocolError", "RandomSource",
+        "SingularMatrixError", "extract_exponents", "handshake", "setup_shared", "start_session",
+    ]
