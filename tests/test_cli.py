@@ -459,6 +459,13 @@ class TestBenchAndAnalyze:
         assert code == 0
         assert "full_session_ms=" in out and "within_85ms_budget=yes" in out
 
+    @pytest.mark.parametrize("d, following", [(8, 481600000), (16, 567211397)])
+    def test_bench_stream_position(self, d, following):
+        # one benchmark iteration draws a fixed amount from a seeded stream
+        rng = RandomSource.deterministic(b"bench-stream")
+        cli._bench_once(rng, d)
+        assert rng.randbelow(2**30) == following
+
     def test_analyze_reference_lines(self, capsys):
         code, out, _ = run(capsys, ["analyze", "--dim", "8", "--iterations", "0"])
         assert code == 0
