@@ -62,7 +62,7 @@ def _rng_from(seed_hex: str | None) -> RandomSource:
     return RandomSource.deterministic(bytes.fromhex(seed_hex))
 
 
-def _format_matrix(m: MatrixFp, indent: str = "  ") -> str:
+def _format_matrix(m: MatrixFp | np.ndarray, indent: str = "  ") -> str:
     return "\n".join(
         indent + " ".join(f"{v:3d}" for v in row) for row in m.tolist()
     )
@@ -145,7 +145,7 @@ def run_demo(args) -> int:
     rng = _rng_from(args.seed)
     d = args.dim
 
-    def show(title: str, m: MatrixFp) -> None:
+    def show(title: str, m: MatrixFp | np.ndarray) -> None:
         print(title)
         print(_format_matrix(m))
 
@@ -193,15 +193,15 @@ def run_demo(args) -> int:
     print(f"bilateral consistency after update: {'yes' if consistent else 'NO'}")
 
     plain = MatrixFp.random(rng, d, alice.p)
-    y1, y2 = alice.encrypt_block(plain, rng)
-    recovered = bob.decrypt_block((y1, y2))
+    y1, y2 = alice.encrypt_blocks([plain], rng)
+    recovered = bob.decrypt_blocks(y1, y2)[0]
     print("\n-- alice enciphers one message block for bob --")
     show("message block H:", plain)
-    show("cipher part y1 = J^m G J^n:", y1)
-    show("cipher part y2 = H J^m B' J^n:", y2)
+    show("cipher part y1 = J^m G J^n:", y1[0])
+    show("cipher part y2 = H J^m B' J^n:", y2[0])
     show("bob recovers y2 (B^m y1 B^n)^-1:", recovered)
 
-    success = recovered == plain and agreed and consistent
+    success = np.array_equal(recovered, plain) and agreed and consistent
     print(f"\nround-trip: {'OK' if success else 'FAILED'}")
     return EXIT_OK if success else EXIT_PROTOCOL
 
@@ -283,10 +283,9 @@ def _bench_once(rng: RandomSource, d: int) -> dict[str, float]:
     start_session(alice, bob)
     t3 = time.perf_counter()
     plain = MatrixFp.random(rng, d, alice.p)
-    block = alice.encrypt_block(plain, rng)
-    recovered = bob.decrypt_block(block)
+    recovered = bob.decrypt_blocks(*alice.encrypt_blocks([plain], rng))
     t4 = time.perf_counter()
-    if recovered != plain:
+    if not np.array_equal(recovered[0], plain):
         raise GegError("benchmark round-trip failed")
     return {
         "setup": (t1 - t0) * 1e3,

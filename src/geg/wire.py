@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from .errors import (
@@ -125,13 +123,6 @@ def parse(data: bytes) -> WireMessage:
     if end != len(data):
         raise FrameLengthError(f"{len(data) - end} trailing bytes after frame")
     return msg
-
-
-def iter_frames(data: bytes) -> Iterator[WireMessage]:
-    offset = 0
-    while offset < len(data):
-        msg, offset = read_frame(data, offset)
-        yield msg
 
 
 # -- matrix serialization ------------------------------------------------------

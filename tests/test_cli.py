@@ -215,11 +215,16 @@ class TestFileCrypto:
         want_y1, want_y2 = reference_encrypt(
             entity.basis.tolist(), entity.generator.tolist(), entity.peer_token.tolist(),
             entity.exponents, plains, RandomSource.deterministic(bytes.fromhex("11")))
-        # the CLI's stream, read frame by frame
-        frames = list(wire.iter_frames(enc.read_bytes()))[1:]
-        cipher = [wire.cipher_block_from_message(msg) for msg in frames]
-        assert [y1.tolist() for y1, _ in cipher] == [y.tolist() for y in want_y1]
-        assert [y2.tolist() for _, y2 in cipher] == [y.tolist() for y in want_y2]
+        # the CLI's stream, read frame by frame after the context-params frame
+        raw = enc.read_bytes()
+        _, offset = wire.read_frame(raw)
+        cipher = []
+        while offset < len(raw):
+            msg, offset = wire.read_frame(raw, offset)
+            assert msg.msg_type == wire.MSG_CIPHER_BLOCK
+            cipher.append(np.frombuffer(msg.payload, np.uint8).reshape(2, dim, dim).tolist())
+        assert [y1 for y1, _ in cipher] == [y.tolist() for y in want_y1]
+        assert [y2 for _, y2 in cipher] == [y.tolist() for y in want_y2]
         # and one encrypt_blocks call over all blocks
         y1, y2 = entity.encrypt_blocks(np.array(plains), RandomSource.deterministic(bytes.fromhex("11")))
         assert y1.tolist() == [y.tolist() for y in want_y1]
@@ -293,7 +298,7 @@ class TestStatePersistence:
         assert clone.eigenvalues == alice.eigenvalues
 
         plain = MatrixFp.random(rng, 8, 251)
-        assert bob.decrypt_block(clone.encrypt_block(plain, rng)) == plain
+        assert np.array_equal(bob.decrypt_blocks(*clone.encrypt_blocks([plain], rng)), [plain])
 
     def test_save_without_peer_token_rejected(self, tmp_path):
         from geg.cli import save_state

@@ -257,41 +257,39 @@ class TestCipher:
                 if i % 2
                 else MatrixFp([[0] * 8] * 8, 251)  # deliberately singular
             )
-            block = alice.encrypt_block(plain, rng)
-            assert bob.decrypt_block(block) == plain
+            y1, y2 = alice.encrypt_blocks([plain], rng)
+            assert np.array_equal(bob.decrypt_blocks(y1, y2), [plain])
 
     def test_bob_can_encrypt_to_alice(self):
         alice, bob, rng = make_pair(15)
         start_session(alice, bob)
         plain = MatrixFp.random(rng, 8, 251)
-        block = bob.encrypt_block(plain, rng)
-        assert alice.decrypt_block(block) == plain
+        y1, y2 = bob.encrypt_blocks([plain], rng)
+        assert np.array_equal(alice.decrypt_blocks(y1, y2), [plain])
 
     def test_fresh_ephemeral_each_block(self):
         alice, bob, rng = make_pair(16)
         start_session(alice, bob)
         plain = MatrixFp.random(rng, 8, 251)
-        one = alice.encrypt_block(plain, rng)
-        two = alice.encrypt_block(plain, rng)
-        assert one[0] != two[0] and one[1] != two[1]
-        assert bob.decrypt_block(one) == plain == bob.decrypt_block(two)
+        y1, y2 = alice.encrypt_blocks([plain, plain], rng)
+        assert not np.array_equal(y1[0], y1[1]) and not np.array_equal(y2[0], y2[1])
+        assert np.array_equal(bob.decrypt_blocks(y1, y2), [plain, plain])
 
     def test_y1_invertible(self):
         alice, bob, rng = make_pair(17)
         start_session(alice, bob)
         for _ in range(20):
-            y1, _ = alice.encrypt_block(MatrixFp.random(rng, 8, 251), rng)
-            assert y1.det() != 0
+            y1, _ = alice.encrypt_blocks([MatrixFp.random(rng, 8, 251)], rng)
+            assert MatrixFp(y1[0], 251).det() != 0
 
     def test_tampered_payload_decrypts_wrong(self):
         alice, bob, rng = make_pair(18)
         start_session(alice, bob)
         plain = MatrixFp.random(rng, 8, 251)
-        y1, y2 = alice.encrypt_block(plain, rng)
-        rows = y2.tolist()
-        rows[0][0] = (rows[0][0] + 1) % 251
-        tampered = (y1, MatrixFp(rows, 251))
-        assert bob.decrypt_block(tampered) != plain
+        y1, y2 = alice.encrypt_blocks([plain], rng)
+        tampered = y2.copy()
+        tampered[0, 0, 0] = (tampered[0, 0, 0] + 1) % 251
+        assert not np.array_equal(bob.decrypt_blocks(y1, tampered), [plain])
 
     def test_mismatched_session_decrypts_wrong(self):
         alice, bob, rng = make_pair(19)
@@ -299,26 +297,26 @@ class TestCipher:
         other_alice, other_bob, _ = make_pair(20)
         start_session(other_alice, other_bob)
         plain = MatrixFp.random(rng, 8, 251)
-        block = alice.encrypt_block(plain, rng)
-        assert other_bob.decrypt_block(block) != plain
+        y1, y2 = alice.encrypt_blocks([plain], rng)
+        assert not np.array_equal(other_bob.decrypt_blocks(y1, y2), [plain])
 
     def test_encrypt_requires_open_session(self):
         alice, bob, rng = make_pair(21)
         with pytest.raises(ProtocolError):
-            alice.encrypt_block(MatrixFp.identity(8, 251), rng)
+            alice.encrypt_blocks([MatrixFp.identity(8, 251)], rng)
 
     def test_encrypt_requires_peer_token(self):
         alice, bob, _ = make_pair(22)
         rng = RandomSource.deterministic(23)
         alice.open_session()  # no ack received yet
         with pytest.raises(ProtocolError):
-            alice.encrypt_block(MatrixFp.identity(8, 251), rng)
+            alice.encrypt_blocks([MatrixFp.identity(8, 251)], rng)
 
     def test_works_at_d16(self):
         alice, bob, rng = make_pair(24, d=16)
         start_session(alice, bob)
         plain = MatrixFp.random(rng, 16, 251)
-        assert bob.decrypt_block(alice.encrypt_block(plain, rng)) == plain
+        assert np.array_equal(bob.decrypt_blocks(*alice.encrypt_blocks([plain], rng)), [plain])
 
     @pytest.mark.parametrize("entry", [-1, 251, 255, 1000])
     def test_entries_outside_the_field_rejected(self, entry):
@@ -378,8 +376,8 @@ class TestRestore:
             peer_token=bob.peer_token,
         )
         plain = MatrixFp.random(rng, 8, 251)
-        block = alice.encrypt_block(plain, rng)
-        assert clone.decrypt_block(block) == plain
+        y1, y2 = alice.encrypt_blocks([plain], rng)
+        assert np.array_equal(clone.decrypt_blocks(y1, y2), [plain])
         assert clone.shared_parameters() == bob.shared_parameters()
 
     def test_restore_checks_session_key_and_peer_token(self):

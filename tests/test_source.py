@@ -30,6 +30,20 @@ def test_wire_imports_no_protocol():
     assert imported <= {"errors", "field", "linalg"}
 
 
+def test_no_single_block_cipher_calls():
+    # a geg process runs the batch cipher only; the N=1 names stay defined
+    # because the benchmark (perfbench/) still calls and traces them
+    single = {"encrypt_block", "decrypt_block", "cipher_block_message", "cipher_block_from_message"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in single
+    ]
+    assert found == []
+
+
 def test_package_exports():
     # the protocol names only: the analysis toolkit is imported by module name
     assert all(hasattr(geg, name) for name in geg.__all__)

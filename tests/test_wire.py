@@ -90,14 +90,6 @@ class TestFraming:
         with pytest.raises(errors.FrameValueError):
             wire.parse(bytes(raw))
 
-    def test_iter_frames_sequence(self):
-        msgs = [
-            wire.context_message(8, 251),
-            wire.matrix_message(wire.MSG_TOKEN_OPEN, MatrixFp.identity(8, 251)),
-        ]
-        data = b"".join(wire.frame(m) for m in msgs)
-        assert list(wire.iter_frames(data)) == msgs
-
     def test_identity_serialization_layout(self):
         raw = wire.matrix_to_bytes(MatrixFp.identity(8, 251))
         assert len(raw) == 64
