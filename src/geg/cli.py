@@ -62,16 +62,19 @@ def _rng_from(seed_hex: str | None) -> RandomSource:
     return RandomSource.deterministic(bytes.fromhex(seed_hex))
 
 
-def _format_matrix(m: MatrixFp | np.ndarray, indent: str = "  ") -> str:
-    return "\n".join(
-        indent + " ".join(f"{v:3d}" for v in row) for row in m.tolist()
-    )
+def _show(title: str, m: MatrixFp | np.ndarray) -> None:
+    print(title)
+    print("\n".join("  " + " ".join(f"{v:3d}" for v in row) for row in m.tolist()))
 
 
 # -- state files ---------------------------------------------------------------
 
 
 def save_state(path: Path, entity: Entity) -> None:
+    _write_atomic(path, _state_chunks(entity))
+
+
+def _state_chunks(entity: Entity) -> list[bytes]:
     # a keyed entity holds the setup token as peer_token, but its key is not a session's
     if entity.phase is not Phase.SESSION_OPEN or entity.peer_token is None:
         raise GegError("entity has no open session with the peer's token; cannot save it")
@@ -83,20 +86,29 @@ def save_state(path: Path, entity: Entity) -> None:
                                 _ROLE_BYTES[entity.role], SESSION_OPEN_PHASE, *entity.exponents)
     matrices = (entity.basis, entity.generator, entity.session_key, entity.peer_token)
     private = bytes([PRIVATE_MARKER, *entity.eigenvalues.values])
-    _write_atomic(path, [header, *map(wire.matrix_to_bytes, matrices), private])
+    return [header, *map(wire.matrix_to_bytes, matrices), private]
 
 
 def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
-    """Write `chunks` to a temporary file in the directory of `path`, then
-    rename it over `path`: a write that fails leaves any old file as it was."""
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    _write_all_atomic([(path, chunks)])
+
+
+def _write_all_atomic(files: list[tuple[Path, Iterable[bytes]]]) -> None:
+    """Write each (path, chunks) to a temporary file beside its path, then rename them
+    all: a failed write leaves every old file as it was, a failed rename the rest."""
+    pending: list[tuple[str, Path]] = []
     try:
-        with os.fdopen(fd, "wb") as out:
-            for chunk in chunks:
-                out.write(chunk)
-        os.replace(tmp, path)
+        for path, chunks in files:
+            fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+            pending.append((tmp, path))
+            with os.fdopen(fd, "wb") as out:
+                out.writelines(chunks)
+        while pending:
+            os.replace(*pending[0])
+            del pending[0]
     except BaseException:
-        os.unlink(tmp)
+        for tmp, _ in pending:
+            os.unlink(tmp)
         raise
 
 
@@ -145,17 +157,13 @@ def run_demo(args) -> int:
     rng = _rng_from(args.seed)
     d = args.dim
 
-    def show(title: str, m: MatrixFp | np.ndarray) -> None:
-        print(title)
-        print(_format_matrix(m))
-
     print(f"two-party demo over GL({d}, F_251)")
     print(f"randomness: {rng.mode}" + (f", seed {args.seed}" if args.seed else ""))
 
     basis, generator = setup_shared(rng, d)
     print("\n-- setup: either party samples the public pair and sends it --")
-    show("shared basis matrix P (public):", basis)
-    show("shared generator matrix G (public):", generator)
+    _show("shared basis matrix P (public):", basis)
+    _show("shared generator matrix G (public):", generator)
 
     alice, bob = handshake(basis, generator, rng)
     token_a, token_b = bob.peer_token, alice.peer_token
@@ -164,17 +172,17 @@ def run_demo(args) -> int:
     print("\n-- alice samples private material --")
     print(f"alice initial exponents (private): k1={k1}, k2={k2}")
     print(f"alice eigenvalues (private): {list(alice.eigenvalues.values)}")
-    show("alice token A' = A^k1 G A^k2 (sent):", token_a)
+    _show("alice token A' = A^k1 G A^k2 (sent):", token_a)
 
     r1, r2 = bob.initial_exponents
     print("\n-- bob samples private material --")
     print(f"bob initial exponents (private): r1={r1}, r2={r2}")
     print(f"bob eigenvalues (private): {list(bob.eigenvalues.values)}")
-    show("bob token B' = B^r1 G B^r2 (sent):", token_b)
+    _show("bob token B' = B^r1 G B^r2 (sent):", token_b)
 
     agreed = alice.session_key == bob.session_key and alice.exponents == bob.exponents
     print("\n-- both derive the first common key --")
-    show("common session key K:", alice.session_key)
+    _show("common session key K:", alice.session_key)
     m, n = alice.exponents
     print(f"exponent pair from K: m={m}, n={n}, m·n={m * n % alice.p}")
     print(f"bilateral agreement: {'yes' if agreed else 'NO'}")
@@ -184,22 +192,22 @@ def run_demo(args) -> int:
     consistent = alice.shared_parameters() == bob.shared_parameters()
     print("\n-- alice opens a cipher session; bob acknowledges --")
     print("all of (K, m, n, P, G) re-derived from the shared secret")
-    show("updated session key K:", alice.session_key)
+    _show("updated session key K:", alice.session_key)
     print(f"updated exponent pair: m={m}, n={n}, m·n={m * n % alice.p}")
-    show("updated auxiliary basis P:", alice.basis)
-    show("updated auxiliary generator G:", alice.generator)
-    show("alice session token (sent):", sess_a)
-    show("bob session token (sent):", sess_b)
+    _show("updated auxiliary basis P:", alice.basis)
+    _show("updated auxiliary generator G:", alice.generator)
+    _show("alice session token (sent):", sess_a)
+    _show("bob session token (sent):", sess_b)
     print(f"bilateral consistency after update: {'yes' if consistent else 'NO'}")
 
     plain = MatrixFp.random(rng, d, alice.p)
     y1, y2 = alice.encrypt_blocks([plain], rng)
     recovered = bob.decrypt_blocks(y1, y2)[0]
     print("\n-- alice enciphers one message block for bob --")
-    show("message block H:", plain)
-    show("cipher part y1 = J^m G J^n:", y1[0])
-    show("cipher part y2 = H J^m B' J^n:", y2[0])
-    show("bob recovers y2 (B^m y1 B^n)^-1:", recovered)
+    _show("message block H:", plain)
+    _show("cipher part y1 = J^m G J^n:", y1[0])
+    _show("cipher part y2 = H J^m B' J^n:", y2[0])
+    _show("bob recovers y2 (B^m y1 B^n)^-1:", recovered)
 
     success = np.array_equal(recovered, plain) and agreed and consistent
     print(f"\nround-trip: {'OK' if success else 'FAILED'}")
@@ -214,8 +222,7 @@ def run_keyexchange(args) -> int:
     prefix = Path(args.state)
     path_a = prefix.with_name(prefix.name + ".initiator")
     path_b = prefix.with_name(prefix.name + ".responder")
-    save_state(path_a, alice)
-    save_state(path_b, bob)
+    _write_all_atomic([(path_a, _state_chunks(alice)), (path_b, _state_chunks(bob))])
     print(f"wrote {path_a}")
     print(f"wrote {path_b}")
     print(
@@ -298,12 +305,8 @@ def _bench_once(rng: RandomSource, d: int) -> dict[str, float]:
 def run_bench(args) -> int:
     rng = _rng_from(args.seed)
     iterations = args.iterations
-    totals = {k: 0.0 for k in _REFERENCE_MS}
-    for _ in range(iterations):
-        once = _bench_once(rng, args.dim)
-        for k, v in once.items():
-            totals[k] += v
-    means = {k: v / iterations for k, v in totals.items()}
+    runs = [_bench_once(rng, args.dim) for _ in range(iterations)]
+    means = {k: sum(run[k] for run in runs) / iterations for k in _REFERENCE_MS}
     full = means["exchange"] + means["update"] + means["cipher"]
     within = full < _FULL_SESSION_BUDGET_MS
     if args.format == "kv":

@@ -95,9 +95,11 @@ class RandomSource:
         self.mode = mode
 
     @classmethod
-    def deterministic(cls, seed: int | bytes | None = 0) -> "RandomSource":
+    def deterministic(cls, seed: int | bytes = 0) -> "RandomSource":
         if isinstance(seed, (bytes, bytearray)):
-            seed = int.from_bytes(bytes(seed), "big") if seed else 0
+            seed = int.from_bytes(seed, "big")  # leading zero bytes drop out
+        if not isinstance(seed, int) or seed < 0:  # None seeds from the OS, -5 replays 5
+            raise ValueError(f"seed must be bytes or a non-negative int, got {seed!r}")
         return cls(random.Random(seed).getrandbits, "deterministic-test")
 
     @classmethod

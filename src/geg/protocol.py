@@ -216,6 +216,8 @@ class Entity:
 
     def install_peer_token(self, token: MatrixFp) -> None:
         """Store the peer's current session token (needed to encrypt)."""
+        if self.phase is not Phase.SESSION_OPEN:  # a keyed entity keeps its setup token
+            raise ProtocolError("install_peer_token requires an open session")
         self._check_received(peer_token=token)
         self.peer_token = token
 

@@ -1,5 +1,7 @@
+import errno
 import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -277,6 +279,31 @@ class TestFileCrypto:
         assert "simulated rename failure" in err
         assert target.read_bytes() == b"old contents"
         assert sorted(tmp_path.iterdir()) == before  # no temporary file left behind
+
+    @pytest.mark.parametrize("module, name, failing", [
+        (wire, "matrix_to_bytes", 5),  # the first matrix of the responder's file
+        (tempfile, "mkstemp", 2),  # the responder's temporary file
+    ])
+    def test_failed_keyexchange_keeps_old_pair(self, capsys, tmp_path, monkeypatch,
+                                               module, name, failing):
+        # the initiator's file was renamed before the responder's write
+        # failed, which left the halves of two exchanges
+        init, resp = self.exchange(capsys, tmp_path)
+        before = [init.read_bytes(), resp.read_bytes()]
+        real, calls = getattr(module, name), []
+
+        def flaky(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == failing:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, flaky)
+        code, _, err = run(capsys, ["keyexchange", "--state", str(tmp_path / "kx"), "--seed", "01"])
+        assert code == cli.EXIT_IO
+        assert "No space left on device" in err
+        assert [init.read_bytes(), resp.read_bytes()] == before
+        assert sorted(tmp_path.iterdir()) == [init, resp]  # no temporary file left behind
 
 
 class TestStatePersistence:

@@ -52,6 +52,17 @@ class TestRandomSource:
         assert [a.randbelow(251) for _ in range(100)] == [b.randbelow(251) for _ in range(100)]
         assert a.array_mod(1000).tolist() == b.array_mod(1000).tolist()
 
+    @pytest.mark.parametrize("seed", [None, "01", -5])
+    def test_deterministic_refuses_seed_it_cannot_replay(self, seed):
+        # accepted, None seeded from the OS and -5 replayed the stream of 5
+        with pytest.raises(ValueError, match="seed must be"):
+            RandomSource.deterministic(seed)
+
+    def test_leading_zero_bytes_name_the_same_stream(self):
+        # bytes are read as a big-endian int, so `--seed 01` and `--seed 0001` agree
+        a, b = RandomSource.deterministic(b"\x01"), RandomSource.deterministic(b"\x00\x01")
+        assert a.randbelow(2**30) == b.randbelow(2**30)
+
     def test_distinct_seeds_differ(self):
         a = RandomSource.deterministic(1)
         b = RandomSource.deterministic(2)

@@ -224,6 +224,18 @@ class TestSessions:
         with pytest.raises(ProtocolError):
             entity.ack_session(MatrixFp.identity(8, 251))
 
+    def test_peer_token_installed_only_in_open_session(self):
+        # accepted, a keyed entity lost the setup token that
+        # analysis.instance_from_exchange reads
+        alice, _, rng = make_pair(30)
+        fresh = Entity("initiator", alice.basis, alice.generator)
+        token = MatrixFp.random_invertible(rng, 8, 251)
+        for entity in (fresh, alice):
+            before = (entity.phase, entity.peer_token)
+            with pytest.raises(ProtocolError, match="open session"):
+                entity.install_peer_token(token)
+            assert (entity.phase, entity.peer_token) == before
+
     @pytest.mark.parametrize("token", ["singular", "d=4"])
     def test_refused_ack_moves_nothing(self, token):
         # refused after the update, the acker was a session ahead of the opener
