@@ -94,8 +94,8 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
 
 
 def _write_all_atomic(files: list[tuple[Path, Iterable[bytes]]]) -> None:
-    """Write each (path, chunks) to a temporary file beside its path, then rename them
-    all: a failed write leaves every old file as it was, a failed rename the rest."""
+    """Write each (path, chunks) to a temporary file beside its path, then rename them all:
+    a failed write keeps every old file, a failed rename those not yet replaced."""
     pending: list[tuple[str, Path]] = []
     try:
         for path, chunks in files:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import (
