@@ -71,7 +71,7 @@ def _show(title: str, m: MatrixFp | np.ndarray) -> None:
 
 
 def save_state(path: Path, entity: Entity) -> None:
-    _write_atomic(path, _state_chunks(entity))
+    _write_atomic([(path, _state_chunks(entity))])
 
 
 def _state_chunks(entity: Entity) -> list[bytes]:
@@ -89,11 +89,7 @@ def _state_chunks(entity: Entity) -> list[bytes]:
     return [header, *map(wire.matrix_to_bytes, matrices), private]
 
 
-def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
-    _write_all_atomic([(path, chunks)])
-
-
-def _write_all_atomic(files: list[tuple[Path, Iterable[bytes]]]) -> None:
+def _write_atomic(files: list[tuple[Path, Iterable[bytes]]]) -> None:
     """Write each (path, chunks) to a temporary file beside its path, then rename them all:
     a failed write keeps every old file, a failed rename those not yet replaced."""
     pending: list[tuple[str, Path]] = []
@@ -222,7 +218,7 @@ def run_keyexchange(args) -> int:
     prefix = Path(args.state)
     path_a = prefix.with_name(prefix.name + ".initiator")
     path_b = prefix.with_name(prefix.name + ".responder")
-    _write_all_atomic([(path_a, _state_chunks(alice)), (path_b, _state_chunks(bob))])
+    _write_atomic([(path_a, _state_chunks(alice)), (path_b, _state_chunks(bob))])
     print(f"wrote {path_a}")
     print(f"wrote {path_b}")
     print(
@@ -252,7 +248,7 @@ def run_encrypt(args) -> int:
             batch = blocks[start : start + BATCH_BLOCKS]
             yield wire.cipher_frames(*entity.encrypt_blocks(batch, rng))
 
-    _write_atomic(Path(args.output), frames())
+    _write_atomic([(Path(args.output), frames())])
     print(f"encrypted {len(data)} bytes into {len(blocks)} blocks -> {args.output}")
     return EXIT_OK
 
@@ -276,7 +272,7 @@ def run_decrypt(args) -> int:
         batch = slice(start, start + BATCH_BLOCKS)
         plains[batch] = entity.decrypt_blocks(y1[batch], y2[batch])
     data = wire.decode_plaintext(plains)
-    _write_atomic(Path(args.output), [data])
+    _write_atomic([(Path(args.output), [data])])
     print(f"decrypted {len(plains)} blocks into {len(data)} bytes -> {args.output}")
     return EXIT_OK
 

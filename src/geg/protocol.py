@@ -67,6 +67,20 @@ def setup_shared(
     return basis, generator
 
 
+def _sandwich(context: CommutingContext, x, exponents: tuple[int, int], eigenvalues) -> np.ndarray:
+    """Z^e1 x Z^e2 as int64 residues, for a matrix or an (..., d, d) stack x
+    and each eigenvalue list λ on the last axis of `eigenvalues`, where
+    Z = P diag(λ) P^-1 shares the context's basis P and (e1, e2) = exponents.
+
+    Z^e1 x Z^e2 = P (outer(λ^e1, λ^e2) ∘ x~) P^-1 with x~ = P^-1 x P, so a
+    sandwich costs no matrix power.  Leading axes broadcast.
+    """
+    p, eigenvalues = context.p, np.asarray(eigenvalues)
+    left, right = (power_table(e, p)[eigenvalues] for e in exponents)
+    weights = left[..., :, np.newaxis] * right[..., np.newaxis, :] % p
+    return context.from_eigenbasis(weights * context.to_eigenbasis(x) % p)
+
+
 def handshake(basis: MatrixFp, generator: MatrixFp, rng: RandomSource) -> tuple[Entity, Entity]:
     """Setup exchange over a public pair: keygen on both sides (initiator
     first), then the first key.  Returns (initiator, responder), both keyed;
@@ -90,7 +104,8 @@ def start_session(opener: Entity, acker: Entity) -> tuple[MatrixFp, MatrixFp]:
 
 
 class Entity:
-    """One party's protocol state; single-owner, mutated by the steps below."""
+    """One party's protocol state; single-owner, mutated by the steps below.
+    The exponent pair is read off the session key, never stored beside it."""
 
     def __init__(self, role: str, basis: MatrixFp, generator: MatrixFp):
         if role not in ("initiator", "responder"):
@@ -99,7 +114,6 @@ class Entity:
         self.context = CommutingContext(basis)  # checks basis invertibility
         self.generator = generator  # checked where first used: keygen or restore
         self.session_key: MatrixFp | None = None
-        self.exponents: tuple[int, int] | None = None
         self.peer_token: MatrixFp | None = None
         self.phase = Phase.FRESH
         self._eigenvalues: DiagonalSpec | None = None
@@ -120,6 +134,11 @@ class Entity:
         return self.context.basis
 
     @property
+    def exponents(self) -> tuple[int, int] | None:
+        """(m, n) as extract_exponents reads it off the session key; None before one."""
+        return None if self.session_key is None else extract_exponents(self.session_key)
+
+    @property
     def eigenvalues(self) -> DiagonalSpec | None:
         """Long-term private eigenvalue list (the actual secret)."""
         return self._eigenvalues
@@ -132,7 +151,7 @@ class Entity:
     def shared_parameters(self) -> tuple[MatrixFp, tuple[int, int], MatrixFp, MatrixFp]:
         """(key, exponents, basis, generator): identical on both sides after
         every completed exchange."""
-        if self.session_key is None or self.exponents is None:
+        if self.session_key is None:
             raise ProtocolError("no session parameters before key derivation")
         return self.session_key, self.exponents, self.basis, self.generator
 
@@ -140,57 +159,46 @@ class Entity:
 
     def keygen(self, rng: RandomSource) -> MatrixFp:
         """Sample private material and return the setup token to transmit."""
-        if self.phase is not Phase.FRESH:
-            raise ProtocolError("keygen only valid on a fresh entity")
+        if self.phase is not Phase.FRESH or self._eigenvalues is not None:
+            # a second draw would strand a peer already holding the first token
+            raise ProtocolError("keygen runs once, on a fresh entity")
         self._check_received(generator=self.generator)
         # exponents from [1, p-1]: zero would degrade the token to the bare generator
         k1 = rng.nonzero(self.p)
         k2 = rng.nonzero(self.p)
         self._initial_exponents = (k1, k2)
         self._eigenvalues = DiagonalSpec.random(rng, self.d, self.p)
-        return MatrixFp(self._sandwich(self.generator, (k1, k2), self._eigenvalues.values), self.p)
+        token = _sandwich(self.context, self.generator, (k1, k2), self._eigenvalues.values)
+        return MatrixFp(token, self.p)
 
     def derive_session_key(self, peer_token: MatrixFp) -> None:
         """Combine the peer's setup token into the first common key."""
         if self.phase is not Phase.FRESH or self._initial_exponents is None:
             raise ProtocolError("derive_session_key requires keygen on a fresh entity")
         self._check_received(peer_token=peer_token)
-        key = self._sandwich(peer_token, self._initial_exponents, self._eigenvalues.values)
-        self._set_key(MatrixFp(key, self.p))
+        key = _sandwich(self.context, peer_token, self._initial_exponents, self._eigenvalues.values)
+        self.session_key = MatrixFp(key, self.p)
         self.peer_token = peer_token
         self.phase = Phase.KEYED
 
-    def _sandwich(self, x, exponents: tuple[int, int], eigenvalues) -> np.ndarray:
-        """Z^e1 x Z^e2 as int64 residues, for a matrix or an (..., d, d) stack
-        x and each eigenvalue list λ on the last axis of `eigenvalues`, where
-        Z = P diag(λ) P^-1 shares this entity's basis P and (e1, e2) = exponents.
-
-        Z^e1 x Z^e2 = P (outer(λ^e1, λ^e2) ∘ x~) P^-1 with x~ = P^-1 x P, so a
-        sandwich costs no matrix power.  Leading axes broadcast.
-        """
-        ctx, eigenvalues = self.context, np.asarray(eigenvalues)
-        left, right = (power_table(e, self.p)[eigenvalues] for e in exponents)
-        weights = left[..., :, np.newaxis] * right[..., np.newaxis, :] % self.p
-        return ctx.from_eigenbasis(weights * ctx.to_eigenbasis(x) % self.p)
-
-    def _set_key(self, key: MatrixFp) -> None:
-        # the exponent pair is always the one extracted from the current key
-        self.session_key = key
-        self.exponents = extract_exponents(key)
-
     # -- recursive session updates --------------------------------------------
 
-    def _refresh_session(self) -> MatrixFp:
+    def _refresh_session(self, peer_token: MatrixFp | None) -> MatrixFp:
+        """Move to the next session and return this side's token for it.  The
+        next key, pair, basis, generator and token are computed first, then
+        committed together, so an update that fails partway changes nothing.
+        `peer_token` is the acker's checked token; the opener's is None until
+        the answer arrives."""
         m, n = self.exponents
         key = self.session_key.pow(m * n % self.p)  # m, n nonzero, so never K**0
-        self._set_key(key)
-        m2, n2 = self.exponents
-        k_m = key.pow(m2)
-        k_n = key.pow(n2)
-        self.context = CommutingContext(k_m @ self.basis @ k_n)
-        self.generator = k_m @ self.generator @ k_n
-        self.peer_token = None  # previous session's token is stale now
-        return MatrixFp(self._sandwich(self.generator, (m2, n2), self._eigenvalues.values), self.p)
+        m2, n2 = extract_exponents(key)
+        k_m, k_n = key.pow(m2), key.pow(n2)
+        context = CommutingContext(k_m @ self.basis @ k_n)
+        generator = k_m @ self.generator @ k_n
+        token = MatrixFp(_sandwich(context, generator, (m2, n2), self._eigenvalues.values), self.p)
+        self.session_key, self.context, self.generator = key, context, generator
+        self.peer_token, self.phase = peer_token, Phase.SESSION_OPEN
+        return token
 
     def open_session(self) -> MatrixFp:
         """Start a new cipher session; returns the token to send.
@@ -200,19 +208,14 @@ class Entity:
         """
         if self.phase is Phase.FRESH:
             raise ProtocolError("open_session requires a derived key")
-        token = self._refresh_session()
-        self.phase = Phase.SESSION_OPEN
-        return token
+        return self._refresh_session(None)
 
     def ack_session(self, peer_token: MatrixFp) -> MatrixFp:
         """Mirror the peer's session update and return the answering token."""
         if self.phase is Phase.FRESH:
             raise ProtocolError("ack_session requires a derived key")
         self._check_received(peer_token=peer_token)  # before the update: a refusal moves nothing
-        token = self._refresh_session()
-        self.peer_token = peer_token
-        self.phase = Phase.SESSION_OPEN
-        return token
+        return self._refresh_session(peer_token)
 
     def install_peer_token(self, token: MatrixFp) -> None:
         """Store the peer's current session token (needed to encrypt)."""
@@ -254,7 +257,7 @@ class Entity:
         # J^m X J^n for X in (G, B'), B' the peer's session token, for every
         # block at once: y1 = J^m G J^n and y2 = H (J^m B' J^n)
         public = np.stack([self.generator.array, self.peer_token.array])
-        sandwiches = self._sandwich(public, self.exponents, ephemeral)
+        sandwiches = _sandwich(self.context, public, self.exponents, ephemeral)
         y1, mask = sandwiches[:, 0], sandwiches[:, 1]
         y2 = plains.astype(np.int64) @ mask % self.p
         return y1.astype(np.uint8), y2.astype(np.uint8)
@@ -269,7 +272,8 @@ class Entity:
             raise ValueError("y1 and y2 hold different numbers of blocks")
         # y2 (B^m y1 B^n)^-1, B this entity's private element
         try:
-            unmask = inv_stack(self._sandwich(y1, self.exponents, self._eigenvalues.values), self.p)
+            masked = _sandwich(self.context, y1, self.exponents, self._eigenvalues.values)
+            unmask = inv_stack(masked, self.p)
         except SingularMatrixError as exc:
             raise ProtocolError("malformed ciphertext: masked generator is singular") from exc
         return (y2.astype(np.int64) @ unmask % self.p).astype(np.uint8)
@@ -318,10 +322,8 @@ class Entity:
         entity._check_received(generator=generator, session_key=session_key, peer_token=peer_token)
         if eigenvalues.d != entity.d or eigenvalues.p != entity.p:
             raise ProtocolError(f"eigenvalues are not {entity.d} residues mod {entity.p}")
-        entity._set_key(session_key)
-        entity._eigenvalues = eigenvalues
-        entity.peer_token = peer_token
-        entity.phase = Phase.SESSION_OPEN
+        entity.session_key, entity.peer_token = session_key, peer_token
+        entity._eigenvalues, entity.phase = eigenvalues, Phase.SESSION_OPEN
         return entity
 
     def __repr__(self) -> str:

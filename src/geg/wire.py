@@ -46,7 +46,8 @@ from .field import DEFAULT_PRIME
 from .linalg import MatrixFp
 
 MAGIC = b"GEG1"
-HEADER_LEN = 10
+_HEADER = struct.Struct(">4sBBI")  # magic | type | d | payload length
+HEADER_LEN = _HEADER.size
 
 MSG_BASIS_INIT = 0x01
 MSG_GENERATOR_INIT = 0x02
@@ -82,7 +83,7 @@ class WireMessage:
 # -- framing -----------------------------------------------------------------
 
 def frame(msg: WireMessage) -> bytes:
-    return MAGIC + struct.pack(">BBI", msg.msg_type, msg.d, len(msg.payload)) + msg.payload
+    return _HEADER.pack(MAGIC, msg.msg_type, msg.d, len(msg.payload)) + msg.payload
 
 
 def read_frame(data: bytes, offset: int = 0) -> tuple[WireMessage, int]:
@@ -93,9 +94,9 @@ def read_frame(data: bytes, offset: int = 0) -> tuple[WireMessage, int]:
     """
     if len(data) - offset < HEADER_LEN:
         raise FrameLengthError("truncated frame header")
-    if data[offset : offset + 4] != MAGIC:
-        raise FrameMagicError(f"unsupported magic {data[offset:offset + 4]!r}")
-    msg_type, d, length = struct.unpack_from(">BBI", data, offset + 4)
+    magic, msg_type, d, length = _HEADER.unpack_from(data, offset)
+    if magic != MAGIC:
+        raise FrameMagicError(f"unsupported magic {magic!r}")
     if msg_type not in _KNOWN_TYPES:
         raise FrameTypeError(f"unknown message type 0x{msg_type:02x}")
     if d < 2:
@@ -207,7 +208,7 @@ def read_cipher_blocks(data: bytes, offset: int, d: int) -> tuple[np.ndarray, np
 
 
 def _cipher_header(d: int) -> bytes:
-    return MAGIC + struct.pack(">BBI", MSG_CIPHER_BLOCK, d, 2 * d * d)
+    return _HEADER.pack(MAGIC, MSG_CIPHER_BLOCK, d, 2 * d * d)
 
 
 def context_message(d: int, p: int) -> WireMessage:

@@ -371,12 +371,14 @@ class TestStatePersistence:
         assert list(tmp_path.iterdir()) == []
 
     # state header: magic(4) tag d p(2) role phase m n
-    TAMPER = {"role": (8, "role byte"), "phase": (9, "phase byte"),
+    TAMPER = {"tag": (4, "unexpected file tag 0x11"),
+              "role": (8, "role byte"), "phase": (9, "phase byte"),
               "m": (10, "exponent m="), "n": (11, "exponent n="),
               "p=10": (6, "modulus 10 "), "p=2": (6, "modulus 2 "), "p=257": (6, "modulus 257 ")}
 
     @pytest.mark.parametrize("side", ["initiator", "responder"])
-    @pytest.mark.parametrize("field", [None, "role", "phase", "m", "n", "p=10", "p=2", "p=257"])
+    @pytest.mark.parametrize("field", [None, "role", "phase", "m", "n", "p=10", "p=2", "p=257",
+                                       "tag"])
     def test_tampered_header_byte_rejected(self, capsys, tmp_path, side, field):
         prefix = tmp_path / "kx"
         assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", "beef"])[0] == 0
@@ -388,7 +390,7 @@ class TestStatePersistence:
                 # not prime, a prime below 251, a prime above the byte range
                 blob[offset : offset + 2] = int(field[2:]).to_bytes(2, "big")
             else:
-                # role 0x7f and phase 0x55 are undefined; m, n move to another nonzero value
+                # role 0x7f and phase 0x55 are undefined; the tag and m, n move up by one
                 blob[offset] = {"role": 0x7F, "phase": 0x55}.get(field, blob[offset] % 250 + 1)
             state.write_bytes(bytes(blob))
         src = tmp_path / "p.bin"
@@ -401,12 +403,15 @@ class TestStatePersistence:
         else:
             assert code == cli.EXIT_CODEC
             assert self.TAMPER[field][1] in err
+            assert not (tmp_path / "c").exists()
 
     # the body after the 12-byte header: P, G, K, peer token, marker, eigenvalues
     MATRICES = ("basis", "generator", "session_key", "peer_token")
     BODY_FAULTS = [(name, fault, cli.EXIT_CODEC if fault == "byte 251" else cli.EXIT_PROTOCOL)
                    for name in MATRICES for fault in ("zero", "row copy", "byte 251")]
     BODY_FAULTS += [("eigenvalues", fault, cli.EXIT_CODEC) for fault in ("zero", "repeat")]
+    BODY_FAULTS += [("marker", "zero", cli.EXIT_CODEC),
+                    ("length", "short", cli.EXIT_CODEC), ("length", "long", cli.EXIT_CODEC)]
 
     @pytest.mark.parametrize("d", [8, 16])
     @pytest.mark.parametrize("target, fault, code", BODY_FAULTS)
@@ -416,7 +421,12 @@ class TestStatePersistence:
                             "--dim", str(d)])[0] == 0
         state = prefix.with_name("kx.initiator")
         blob = bytearray(state.read_bytes())
-        if target == "eigenvalues":
+        size = len(blob)
+        if target == "length":
+            blob = blob[:-1] if fault == "short" else blob + b"\x00"
+        elif target == "marker":
+            blob[size - d - 1] = 0
+        elif target == "eigenvalues":
             at = len(blob) - d
             blob[at + 1] = 0 if fault == "zero" else blob[at]
         else:
@@ -428,6 +438,8 @@ class TestStatePersistence:
             else:
                 blob[at] = 251
         state.write_bytes(bytes(blob))
+        messages = {"marker": "private section marker missing",
+                    "length": f"expected {size} bytes, found {len(blob)}"}
         src, out = tmp_path / "p.bin", tmp_path / "c"
         src.write_bytes(b"hello")
         got, stdout, err = run(
@@ -437,6 +449,7 @@ class TestStatePersistence:
         assert stdout == "" and err.startswith("geg: ") and "Traceback" not in err
         if code == cli.EXIT_PROTOCOL:
             assert f"{target} is singular" in err
+        assert messages.get(target, "") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("d", [8, 16])

@@ -216,6 +216,14 @@ class TestElementOrder:
         with pytest.raises(ValueError):
             element_order(MatrixFp.identity(16, 251))
 
+    def test_order_when_group_order_needs_rho(self):
+        # 173**7 - 1 keeps a composite cofactor above the trial-division bound
+        f = rand_irreducible(RandomSource.deterministic(173), 7, 173)
+        c = companion_matrix(f)
+        order = element_order(c)
+        assert (173**7 - 1) % order == 0
+        assert c.pow(order) == MatrixFp.identity(7, 173)
+
 
 class TestFactorint:
     def test_known_factorization(self):
@@ -230,6 +238,10 @@ class TestFactorint:
             assert is_probable_prime(q)
             prod *= q**e
         assert prod == n
+
+    def test_composite_cofactor_split_by_rho(self):
+        # after trial division 3144079 * 8576317 remains, both above the bound
+        assert factorize(173**7 - 1) == {2: 2, 43: 1, 3144079: 1, 8576317: 1}
 
     def test_rho_splits_large_semiprime(self):
         # both factors above the trial-division bound

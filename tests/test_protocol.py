@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geg import protocol
 from geg.commuting import DiagonalSpec
 from geg.errors import ProtocolError
 from geg.field import RandomSource
@@ -67,6 +68,17 @@ class TestKeygen:
         with pytest.raises(ProtocolError):
             alice.keygen(rng)
 
+    def test_keygen_twice_before_derive_rejected(self):
+        # accepted, the second draw replaced the private material behind the
+        # token the peer already holds, and the two keys differed
+        rng = RandomSource.deterministic(3)
+        entity = Entity("initiator", *setup_shared(rng, 8))
+        entity.keygen(rng)
+        before = (entity.eigenvalues, entity.initial_exponents, entity.phase)
+        with pytest.raises(ProtocolError, match="keygen runs once"):
+            entity.keygen(rng)
+        assert (entity.eigenvalues, entity.initial_exponents, entity.phase) == before
+
     @pytest.mark.parametrize("generator, message", [
         (MatrixFp([[1] * 8] * 8, 251), "generator is singular"),
         (MatrixFp.identity(4, 251), "generator is not a 8x8 matrix over F_251"),
@@ -125,6 +137,14 @@ class TestKeyAgreement:
         basis, generator = setup_shared(RandomSource.deterministic(7), 8)
         with pytest.raises(ValueError, match="role"):
             Entity("alice", basis, generator)
+
+    def test_no_shared_parameters_before_key(self):
+        rng = RandomSource.deterministic(5)
+        alice = Entity("initiator", *setup_shared(rng, 8))
+        alice.keygen(rng)
+        assert alice.exponents is None
+        with pytest.raises(ProtocolError, match="no session parameters"):
+            alice.shared_parameters()
 
     def test_derive_before_keygen_rejected(self):
         rng = RandomSource.deterministic(5)
@@ -248,6 +268,26 @@ class TestSessions:
             bob.ack_session(bad)
         assert (bob.shared_parameters(), bob.peer_token, bob.phase) == before
 
+    @pytest.mark.parametrize("step", ["open", "ack"])
+    def test_failed_update_moves_nothing(self, monkeypatch, step):
+        # with the next key assigned before the next basis was built, a
+        # failure there left the entity half a session ahead of its peer
+        alice, bob, rng = make_pair(14)
+        start_session(alice, bob)
+        entity = alice if step == "open" else bob
+        before = (entity.shared_parameters(), entity.phase, entity.peer_token)
+
+        def refuse(basis):
+            raise MemoryError("no room for the next basis")
+
+        monkeypatch.setattr(protocol, "CommutingContext", refuse)
+        with pytest.raises(MemoryError):
+            entity.open_session() if step == "open" else entity.ack_session(alice.peer_token)
+        assert (entity.shared_parameters(), entity.phase, entity.peer_token) == before
+        monkeypatch.undo()
+        start_session(alice, bob)  # still in step with the peer
+        assert alice.shared_parameters() == bob.shared_parameters()
+
     def test_update_exponent_reduction(self):
         # the key-update exponent is the reduced product of the pair:
         # with the documented sample pair (41, 178) it is 19
@@ -364,6 +404,25 @@ class TestCipher:
         plain = MatrixFp.identity(8, 7)
         with pytest.raises(ValueError, match="modulus"):
             alice.encrypt_blocks([plain], rng) if batch else alice.encrypt_block(plain, rng)
+
+    def test_decrypt_requires_open_session(self):
+        alice, bob, rng = make_pair(21)
+        start_session(alice, bob)
+        y1, y2 = alice.encrypt_blocks([MatrixFp.identity(8, 251)], rng)
+        keyed, _, _ = make_pair(21)
+        with pytest.raises(ProtocolError, match="decrypt requires an open session"):
+            keyed.decrypt_blocks(y1, y2)
+
+    @pytest.mark.parametrize("shape1, shape2, message", [
+        ((2, 8, 8), (3, 8, 8), "different numbers of blocks"),
+        ((2, 8, 8), (2, 4, 4), "y2 blocks have wrong dimensions"),
+        ((8, 8), (8, 8), "y1 blocks have wrong dimensions"),
+    ])
+    def test_decrypt_refuses_mismatched_stacks(self, shape1, shape2, message):
+        alice, bob, _ = make_pair(22)
+        start_session(alice, bob)
+        with pytest.raises(ValueError, match=message):
+            bob.decrypt_blocks(np.ones(shape1, np.uint8), np.ones(shape2, np.uint8))
 
     def test_block_may_be_any_array_like(self):
         alice, bob, _ = make_pair(27)

@@ -44,6 +44,18 @@ def test_no_single_block_cipher_calls():
     assert found == []
 
 
+def test_exponent_pair_never_stored():
+    # the pair is read off the session key; a stored copy can fall out of step
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "exponents"
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+    ]
+    assert found == []
+
+
 def test_package_exports():
     # the protocol names only: the analysis toolkit is imported by module name
     assert all(hasattr(geg, name) for name in geg.__all__)
