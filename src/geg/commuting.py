@@ -5,8 +5,8 @@ conjugating diagonal matrices by one fixed invertible basis matrix yields a
 commutative subgroup whose members are indistinguishable from generic group
 elements.  Every element built from the same context commutes with every
 other one; that property is what makes the key agreement close.  The
-protocol reaches the subgroup only through a context's change of basis;
-the membership test belongs to the decomposition oracle, `geg.analysis`.
+protocol reaches the subgroup only through a context's `sandwich`; the
+membership test belongs to the decomposition oracle, `geg.analysis`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GegError, SingularMatrixError
-from .field import DEFAULT_PRIME, RandomSource
+from .field import DEFAULT_PRIME, RandomSource, power_table
 from .linalg import MatrixFp
 
 
@@ -81,18 +81,31 @@ class CommutingContext:
 
     def conjugate(self, spec: DiagonalSpec) -> MatrixFp:
         """basis @ diag(spec) @ basis**-1: the subgroup element with
-        eigenvalues `spec`.  Powers act on the eigenvalues alone, so the
-        protocol raises elements to powers in the eigenbasis, not here."""
+        eigenvalues `spec`.  Powers act on the eigenvalues alone; `sandwich`
+        applies them without building the element."""
         if spec.d != self.d or spec.p != self.p:
             raise ValueError("diagonal spec does not match context parameters")
-        return MatrixFp(self.from_eigenbasis(np.diag(spec.values)), self.p)
+        return MatrixFp(self._from_eigenbasis(np.diag(spec.values)), self.p)
+
+    def sandwich(self, x, exponents: tuple[int, int], eigenvalues) -> np.ndarray:
+        """Z^e1 x Z^e2 as int64 residues, for a matrix or an (..., d, d) stack x
+        and each eigenvalue list λ on the last axis of `eigenvalues`, where
+        Z = P diag(λ) P^-1 for this context's basis P and (e1, e2) = exponents.
+
+        Z^e1 x Z^e2 = P (outer(λ^e1, λ^e2) ∘ x~) P^-1 with x~ = P^-1 x P, so a
+        sandwich costs no matrix power.  Leading axes broadcast.
+        """
+        p, eigenvalues = self.p, np.asarray(eigenvalues)
+        left, right = (power_table(e, p)[eigenvalues] for e in exponents)
+        weights = left[..., :, np.newaxis] * right[..., np.newaxis, :] % p
+        return self._from_eigenbasis(weights * self.to_eigenbasis(x) % p)
 
     def to_eigenbasis(self, x) -> np.ndarray:
         """basis**-1 @ x @ basis for a matrix or an (N, d, d) stack, as int64
         residues: a subgroup element becomes diagonal here."""
         return self._change_basis(self.basis_inv, x, self.basis)
 
-    def from_eigenbasis(self, x) -> np.ndarray:
+    def _from_eigenbasis(self, x) -> np.ndarray:
         """basis @ x @ basis**-1, the inverse of to_eigenbasis."""
         return self._change_basis(self.basis, x, self.basis_inv)
 

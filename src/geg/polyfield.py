@@ -57,35 +57,8 @@ class PolyFp:
         return len(self.coeffs) - 1  # zero polynomial has degree -1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyFp):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.p))
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return f"PolyFp(0, p={self.p})"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                base = "x" if i == 1 else f"x^{i}"
-                terms.append(base if c == 1 else f"{c}{base}")
-        return f"PolyFp({' + '.join(terms)}, p={self.p})"
 
 
 def companion_matrix(poly: PolyFp) -> MatrixFp:

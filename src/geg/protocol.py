@@ -7,9 +7,12 @@ State machine per entity:
 Setup exchanges one token per side (a sandwich of the public generator
 between powers of a private commuting element) and both parties derive the
 same session key because their private elements share an eigenbasis.  Every
-new cipher session re-derives the whole parameter set (key, exponent pair,
-basis, generator) from the current shared secret, so the public values move
-while the only long-term private material is each party's eigenvalue list.
+new cipher session raises the key K to m*n, for the pair (m, n) read off K,
+and re-derives the basis and generator from the new key.  The basis and
+generator move every session.  The key walks a finite set, so it ends in a
+cycle, most often a fixed point K**(m*n) = K after which the key and the
+pair stay fixed (m*n = 1 mod p is one way to reach one, not the only one).
+The only long-term private material is each party's eigenvalue list.
 
 Both sides must apply updates in lockstep; there is no in-band detection of
 a desynchronized peer (a lost acknowledgement surfaces only as garbage
@@ -24,7 +27,7 @@ import numpy as np
 
 from .commuting import CommutingContext, DiagonalSpec
 from .errors import ProtocolError, SingularMatrixError
-from .field import DEFAULT_PRIME, RandomSource, power_table
+from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp, det_stack, inv_stack
 
 
@@ -65,20 +68,6 @@ def setup_shared(
     basis = MatrixFp.random_invertible(rng, d, p)
     generator = MatrixFp.random_invertible(rng, d, p)
     return basis, generator
-
-
-def _sandwich(context: CommutingContext, x, exponents: tuple[int, int], eigenvalues) -> np.ndarray:
-    """Z^e1 x Z^e2 as int64 residues, for a matrix or an (..., d, d) stack x
-    and each eigenvalue list λ on the last axis of `eigenvalues`, where
-    Z = P diag(λ) P^-1 shares the context's basis P and (e1, e2) = exponents.
-
-    Z^e1 x Z^e2 = P (outer(λ^e1, λ^e2) ∘ x~) P^-1 with x~ = P^-1 x P, so a
-    sandwich costs no matrix power.  Leading axes broadcast.
-    """
-    p, eigenvalues = context.p, np.asarray(eigenvalues)
-    left, right = (power_table(e, p)[eigenvalues] for e in exponents)
-    weights = left[..., :, np.newaxis] * right[..., np.newaxis, :] % p
-    return context.from_eigenbasis(weights * context.to_eigenbasis(x) % p)
 
 
 def handshake(basis: MatrixFp, generator: MatrixFp, rng: RandomSource) -> tuple[Entity, Entity]:
@@ -168,7 +157,7 @@ class Entity:
         k2 = rng.nonzero(self.p)
         self._initial_exponents = (k1, k2)
         self._eigenvalues = DiagonalSpec.random(rng, self.d, self.p)
-        token = _sandwich(self.context, self.generator, (k1, k2), self._eigenvalues.values)
+        token = self.context.sandwich(self.generator, (k1, k2), self._eigenvalues.values)
         return MatrixFp(token, self.p)
 
     def derive_session_key(self, peer_token: MatrixFp) -> None:
@@ -176,7 +165,7 @@ class Entity:
         if self.phase is not Phase.FRESH or self._initial_exponents is None:
             raise ProtocolError("derive_session_key requires keygen on a fresh entity")
         self._check_received(peer_token=peer_token)
-        key = _sandwich(self.context, peer_token, self._initial_exponents, self._eigenvalues.values)
+        key = self.context.sandwich(peer_token, self._initial_exponents, self._eigenvalues.values)
         self.session_key = MatrixFp(key, self.p)
         self.peer_token = peer_token
         self.phase = Phase.KEYED
@@ -195,7 +184,7 @@ class Entity:
         k_m, k_n = key.pow(m2), key.pow(n2)
         context = CommutingContext(k_m @ self.basis @ k_n)
         generator = k_m @ self.generator @ k_n
-        token = MatrixFp(_sandwich(context, generator, (m2, n2), self._eigenvalues.values), self.p)
+        token = MatrixFp(context.sandwich(generator, (m2, n2), self._eigenvalues.values), self.p)
         self.session_key, self.context, self.generator = key, context, generator
         self.peer_token, self.phase = peer_token, Phase.SESSION_OPEN
         return token
@@ -257,7 +246,7 @@ class Entity:
         # J^m X J^n for X in (G, B'), B' the peer's session token, for every
         # block at once: y1 = J^m G J^n and y2 = H (J^m B' J^n)
         public = np.stack([self.generator.array, self.peer_token.array])
-        sandwiches = _sandwich(self.context, public, self.exponents, ephemeral)
+        sandwiches = self.context.sandwich(public, self.exponents, ephemeral)
         y1, mask = sandwiches[:, 0], sandwiches[:, 1]
         y2 = plains.astype(np.int64) @ mask % self.p
         return y1.astype(np.uint8), y2.astype(np.uint8)
@@ -272,7 +261,7 @@ class Entity:
             raise ValueError("y1 and y2 hold different numbers of blocks")
         # y2 (B^m y1 B^n)^-1, B this entity's private element
         try:
-            masked = _sandwich(self.context, y1, self.exponents, self._eigenvalues.values)
+            masked = self.context.sandwich(y1, self.exponents, self._eigenvalues.values)
             unmask = inv_stack(masked, self.p)
         except SingularMatrixError as exc:
             raise ProtocolError("malformed ciphertext: masked generator is singular") from exc

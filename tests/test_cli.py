@@ -178,6 +178,7 @@ class TestFileCrypto:
         "other-d-byte": (lambda s: s[:155] + b"\x10" + s[156:], cli.EXIT_CODEC, "d=16"),
         "singular-y1": (lambda s: s[:160] + bytes(64) + s[224:], cli.EXIT_PROTOCOL, "singular"),
         "context-frame-only": (lambda s: s[:12], cli.EXIT_CODEC, "holds no cipher-block frames"),
+        "empty-file": (lambda s: b"", cli.EXIT_CODEC, "ciphertext stream is empty"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -76,6 +76,22 @@ class TestContext:
             assert element.pow(e).tolist() == naive_matpow(element.tolist(), e, 251)
         assert {pow(v, 125, 251) for v in spec.values} == {1, 250}
 
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_sandwich_matches_matrix_powers(self, d):
+        # a stack of x against a stack of eigenvalue lists, (N, 2, d, d) by
+        # (N, 1, d), as the cipher calls it: block i uses the i-th list
+        rng = RandomSource.deterministic(bytes([d, 1]))
+        ctx = CommutingContext(MatrixFp.random_invertible(rng, d, 251))
+        specs = [DiagonalSpec.random(rng, d, 251) for _ in range(3)]
+        pair = [MatrixFp.random(rng, d, 251) for _ in range(2)]
+        exponents = (rng.nonzero(251), rng.nonzero(251))
+        out = ctx.sandwich(np.stack(pair), exponents, [[s.values] for s in specs])
+        assert out.shape == (3, 2, d, d)
+        for spec, block in zip(specs, out):
+            z = ctx.conjugate(spec)
+            for x, got in zip(pair, block):
+                assert got.tolist() == (z.pow(exponents[0]) @ x @ z.pow(exponents[1])).tolist()
+
     def test_conjugate_dimension_mismatch(self):
         rng = RandomSource.deterministic(3)
         ctx = CommutingContext(MatrixFp.random_invertible(rng, 4, 251))

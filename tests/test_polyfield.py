@@ -27,7 +27,7 @@ class TestPolyArithmetic:
 
     def test_zero_polynomial(self):
         z = PolyFp([], 5)
-        assert z.is_zero and z.degree == -1
+        assert z.coeffs == () and z.degree == -1
 
     @pytest.mark.parametrize(
         "coeffs", [[0.5, 1.9, 1], ["3", True, 1], [1, None], [np.float64(2.0), 1], [np.bool_(1)]]

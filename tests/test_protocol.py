@@ -221,6 +221,24 @@ class TestSessions:
             assert snapshot not in history
             history.add(snapshot)
 
+    def test_key_freezes_while_basis_and_generator_move(self):
+        # the key walks K -> K**(m*n) only until K**(m*n) = K; at seed 16 the
+        # seventh session reaches m*n = 1, and from the eighth on the key and
+        # the pair stay fixed while the basis and generator keep moving
+        alice, bob, _ = make_pair(16)
+        for _ in range(7):
+            start_session(alice, bob)
+        key, pair, basis, generator = alice.shared_parameters()
+        assert pair[0] * pair[1] % 251 == 1
+        seen = {basis, generator}
+        for _ in range(6):
+            start_session(alice, bob)
+            assert alice.shared_parameters() == bob.shared_parameters()
+            k, e, basis, generator = alice.shared_parameters()
+            assert (k, e) == (key, pair)
+            assert basis not in seen and generator not in seen
+            seen.update((basis, generator))
+
     def test_tokens_change_each_session(self):
         alice, bob, _ = make_pair(10)
         tokens = set()

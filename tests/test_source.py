@@ -56,6 +56,27 @@ def test_exponent_pair_never_stored():
     assert found == []
 
 
+def test_eigenbasis_stays_in_commuting():
+    # the subgroup's representation P diag(λ) P^-1 has one owner: the protocol
+    # reaches it through CommutingContext.sandwich, and only the membership
+    # test in analysis reads the eigenbasis besides
+    change = {"to_eigenbasis", "from_eigenbasis", "_from_eigenbasis"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name not in ("commuting.py", "analysis.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in change
+    ]
+    tree = ast.parse((SRC / "protocol.py").read_text())
+    found += [
+        f"protocol.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "power_table" for alias in node.names)
+    ]
+    assert found == []
+
+
 def test_package_exports():
     # the protocol names only: the analysis toolkit is imported by module name
     assert all(hasattr(geg, name) for name in geg.__all__)

@@ -105,6 +105,34 @@ class TestFraming:
             m = MatrixFp.random(rng, d, 251)
             assert wire.bytes_to_matrix(wire.matrix_to_bytes(m), d) == m
 
+    @pytest.mark.parametrize("length", [0, 63, 65])
+    def test_bytes_to_matrix_rejects_wrong_length(self, length):
+        with pytest.raises(errors.FrameLengthError, match=f"expected 64 matrix bytes, got {length}"):
+            wire.bytes_to_matrix(bytes(length), 8)
+
+    @pytest.mark.parametrize("msg", [
+        wire.context_message(8, 251),
+        wire.WireMessage(wire.MSG_CIPHER_BLOCK, 8, bytes(128)),
+    ])
+    def test_matrix_from_other_message_rejected(self, msg):
+        with pytest.raises(errors.FrameTypeError, match="does not carry a single matrix"):
+            wire.matrix_from_message(msg)
+
+    def test_context_from_matrix_message_rejected(self):
+        msg = wire.matrix_message(wire.MSG_BASIS_INIT, MatrixFp.identity(8))
+        with pytest.raises(errors.FrameTypeError, match="not a context-params message"):
+            wire.context_from_message(msg)
+
+    @pytest.mark.parametrize("msg_type", [wire.MSG_CIPHER_BLOCK, wire.MSG_CONTEXT_PARAMS, 0x77])
+    def test_matrix_message_of_non_matrix_type_refused(self, msg_type):
+        with pytest.raises(ValueError, match="does not carry a single matrix"):
+            wire.matrix_message(msg_type, MatrixFp.identity(8))
+
+    @pytest.mark.parametrize("p", [-1, 0, 1, 0x10000])
+    def test_context_message_modulus_out_of_range_refused(self, p):
+        with pytest.raises(ValueError, match="modulus out of range"):
+            wire.context_message(8, p)
+
 
 class TestFixtures:
     def test_all_shipped_vectors(self):
@@ -169,6 +197,9 @@ class TestBlockCodec:
         assert wire.block_capacity(16) == 224
         with pytest.raises(ValueError):
             wire.block_capacity(6)
+        # d=20 would carry 350 bytes per block, more than one pad byte can count
+        with pytest.raises(ValueError, match="exceeds one-byte padding range"):
+            wire.block_capacity(20)
 
     def test_round_trip_boundary_lengths_both_dims(self):
         rnd = random.Random(7)
