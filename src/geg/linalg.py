@@ -21,6 +21,19 @@ def _check_modulus(p: int) -> int:
     return p
 
 
+def _residues(entries, p: int, ndim: int) -> np.ndarray:
+    """A fresh int64 array of residues mod p, of `ndim` dimensions ending in a
+    square.  Unsigned entries reduce in uint64 and signed ones in int64, so
+    none wraps; floats, strings and booleans raise ValueError, not truncate."""
+    a = np.asarray(entries)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"integer entries required, got dtype {a.dtype}")
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{ndim}-d array of square matrices required, got shape {a.shape}")
+    a = a.astype(np.uint64 if a.dtype.kind == "u" else np.int64, copy=False) % p
+    return a.astype(np.int64, copy=False)
+
+
 class MatrixFp:
     """Immutable d-by-d matrix over GF(p); may be singular, GL membership is checked not assumed."""
 
@@ -31,16 +44,9 @@ class MatrixFp:
 
     def __init__(self, entries, p: int = DEFAULT_PRIME):
         _check_modulus(p)
-        a = np.asarray(entries)
-        if a.dtype.kind not in "iu":
-            raise ValueError(f"integer entries required, got dtype {a.dtype}")
-        a = a.astype(np.int64, copy=False)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"square matrix required, got shape {a.shape}")
+        a = _residues(entries, p, 2)
         if a.shape[0] < 2:
             raise ValueError("dimension must be at least 2")
-        if ((a < 0) | (a >= p)).any():
-            a = a % p
         self._a = a.astype(np.uint8)
         self._a.setflags(write=False)
         self.p = p
@@ -132,14 +138,6 @@ class MatrixFp:
         return f"MatrixFp(d={self.d}, p={self.p})"
 
 
-def _square_stack(stack, p: int) -> np.ndarray:
-    # a fresh int64 array of residues, safe to reduce in place
-    a = np.asarray(stack, dtype=np.int64) % p
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"stack of square matrices required, got shape {a.shape}")
-    return a
-
-
 def _eliminate(aug: np.ndarray, p: int) -> np.ndarray:
     """Gauss-Jordan mod p on the first d columns of an (N, d, w) int64 stack
     of residues, in place, pivoting on the first nonzero entry at or below the
@@ -170,7 +168,7 @@ def _eliminate(aug: np.ndarray, p: int) -> np.ndarray:
 
 def det_stack(stack, p: int = DEFAULT_PRIME) -> np.ndarray:
     """Determinants mod p of an (N, d, d) stack of matrices, as int64 residues."""
-    return _eliminate(_square_stack(stack, p), p)
+    return _eliminate(_residues(stack, p, 3), p)
 
 
 def inv_stack(stack, p: int = DEFAULT_PRIME) -> np.ndarray:
@@ -179,7 +177,7 @@ def inv_stack(stack, p: int = DEFAULT_PRIME) -> np.ndarray:
     Gauss-Jordan on [A | I] for all N matrices at once.  Raises
     SingularMatrixError naming the lowest index of a singular matrix.
     """
-    a = _square_stack(stack, p)
+    a = _residues(stack, p, 3)
     d = a.shape[1]
     aug = np.concatenate([a, np.broadcast_to(np.eye(d, dtype=np.int64), a.shape)], axis=2)
     singular = np.flatnonzero(_eliminate(aug, p) == 0)

@@ -8,7 +8,8 @@ Setup exchanges one token per side (a sandwich of the public generator
 between powers of a private commuting element) and both parties derive the
 same session key because their private elements share an eigenbasis.  Every
 new cipher session raises the key K to m*n, for the pair (m, n) read off K,
-and re-derives the basis and generator from the new key.  The basis and
+and re-derives the basis and generator from the new key: `next_key` and
+`session_step` are that rule's one home.  The basis and
 generator move every session.  The key walks a finite set, so it ends in a
 cycle, most often a fixed point K**(m*n) = K after which the key and the
 pair stay fixed (m*n = 1 mod p is one way to reach one, not the only one).
@@ -59,6 +60,23 @@ def extract_exponents(key: MatrixFp) -> tuple[int, int]:
     m = ends_product(np.diagonal(np.flipud(key.array)))
     n = ends_product(np.diagonal(key.array))
     return m, n
+
+
+def next_key(key: MatrixFp) -> MatrixFp:
+    """K**(m*n mod p) for (m, n) = extract_exponents(K); m, n != 0, so never K**0."""
+    m, n = extract_exponents(key)
+    return key.pow(m * n % key.p)
+
+
+def session_step(
+    key: MatrixFp, basis: MatrixFp, generator: MatrixFp
+) -> tuple[MatrixFp, tuple[int, int], MatrixFp, MatrixFp]:
+    """The next shared_parameters() from public values alone: K' = next_key(K),
+    (m2, n2) read off K', and K'**m2 X K'**n2 for X = basis, generator."""
+    key = next_key(key)
+    m2, n2 = extract_exponents(key)
+    k_m, k_n = key.pow(m2), key.pow(n2)
+    return key, (m2, n2), k_m @ basis @ k_n, k_m @ generator @ k_n
 
 
 def setup_shared(
@@ -173,18 +191,14 @@ class Entity:
     # -- recursive session updates --------------------------------------------
 
     def _refresh_session(self, peer_token: MatrixFp | None) -> MatrixFp:
-        """Move to the next session and return this side's token for it.  The
-        next key, pair, basis, generator and token are computed first, then
-        committed together, so an update that fails partway changes nothing.
+        """Move to the next session and return this side's token for it.
+        session_step's public values, the context and the token are computed
+        first, then committed together, so a failure partway changes nothing.
         `peer_token` is the acker's checked token; the opener's is None until
         the answer arrives."""
-        m, n = self.exponents
-        key = self.session_key.pow(m * n % self.p)  # m, n nonzero, so never K**0
-        m2, n2 = extract_exponents(key)
-        k_m, k_n = key.pow(m2), key.pow(n2)
-        context = CommutingContext(k_m @ self.basis @ k_n)
-        generator = k_m @ self.generator @ k_n
-        token = MatrixFp(context.sandwich(generator, (m2, n2), self._eigenvalues.values), self.p)
+        key, pair, basis, generator = session_step(self.session_key, self.basis, self.generator)
+        context = CommutingContext(basis)
+        token = MatrixFp(context.sandwich(generator, pair, self._eigenvalues.values), self.p)
         self.session_key, self.context, self.generator = key, context, generator
         self.peer_token, self.phase = peer_token, Phase.SESSION_OPEN
         return token

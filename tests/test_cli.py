@@ -453,6 +453,30 @@ class TestStatePersistence:
         assert messages.get(target, "") in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["generator", "peer_token"])
+    def test_decrypt_checks_generator_and_peer_token_only_for_invertibility(
+            self, capsys, tmp_path, target):
+        # decrypt reads the basis, the session key and the eigenvalues; the
+        # responder's generator and peer token pass its load as long as they
+        # are invertible, so the identity in either still round-trips.  Once a
+        # received token is checked by its structure (ROADMAP item 10), the
+        # peer-token case becomes a refusal: an open edit of this test.
+        prefix = tmp_path / "kx"
+        assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", "beef"])[0] == 0
+        init, resp = prefix.with_name("kx.initiator"), prefix.with_name("kx.responder")
+        blob = bytearray(resp.read_bytes())
+        at = 12 + self.MATRICES.index(target) * 64
+        blob[at : at + 64] = MatrixFp.identity(8, 251).array.tobytes()
+        resp.write_bytes(bytes(blob))
+        data = random.Random(5).randbytes(700)
+        src, enc, dst = tmp_path / "p.bin", tmp_path / "c.geg", tmp_path / "out.bin"
+        src.write_bytes(data)
+        assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src),
+                            "--out", str(enc), "--seed", "11"])[0] == cli.EXIT_OK
+        assert run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc),
+                            "--out", str(dst)])[0] == cli.EXIT_OK
+        assert dst.read_bytes() == data
+
     @pytest.mark.parametrize("d", [8, 16])
     def test_load_runs_two_eliminations(self, capsys, tmp_path, monkeypatch, d):
         # one inverse of the basis, then one determinant stack over G, K and

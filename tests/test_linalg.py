@@ -44,6 +44,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="integer entries"):
             MatrixFp(entries, 251)
 
+    def test_reads_every_integer_dtype_exactly(self):
+        # through int64, 2**63 + 5 would wrap and reduce to 96, not 165
+        big = np.array([[2**63 + 5, 0], [0, 2**64 - 1]], dtype=np.uint64)
+        assert MatrixFp(big, 251).tolist() == [[(2**63 + 5) % 251, 0], [0, (2**64 - 1) % 251]]
+        assert MatrixFp(np.array([[-3, 0], [0, 127]], dtype=np.int8), 251).tolist() == [
+            [248, 0], [0, 127]]
+
     def test_rejects_oversized_modulus(self):
         with pytest.raises(ValueError):
             MatrixFp([[1, 0], [0, 1]], 257)
@@ -184,6 +191,16 @@ class TestInvStack:
         with pytest.raises(SingularMatrixError, match="matrix 2 of the stack"):
             inv_stack(stack, 251)
 
+    def test_reads_every_integer_dtype_exactly(self):
+        # a cast would truncate 2.7 to 2 and invert that (126); through int64,
+        # uint64 entries above 2**63 would wrap before the reduction
+        with pytest.raises(ValueError, match="integer entries"):
+            inv_stack([[[2.7, 0], [0, 1]]], 251)
+        big = np.array([[[2**63 + 5, 0], [0, 1]]], dtype=np.uint64)
+        assert int(inv_stack(big, 251)[0, 0, 0]) * (2**63 + 5) % 251 == 1
+        small = np.array([[[-3, 0], [0, 1]]], dtype=np.int8)  # int8 % 251 overflows in numpy 2
+        assert inv_stack(small, 251)[0, 0, 0] * 248 % 251 == 1
+
 
 class TestDetStack:
     @pytest.mark.parametrize("p", [2, 3, 7, 251])
@@ -202,6 +219,14 @@ class TestDetStack:
         assert dets == [naive_det(m, p) for m in stack]
         assert 0 in dets and any(dets)
         assert [MatrixFp(m, p).det() for m in stack] == dets
+
+    def test_reads_every_integer_dtype_exactly(self):
+        # a cast would truncate 1.9 to 1; through int64, 2**63 + 5 would read as 96
+        with pytest.raises(ValueError, match="integer entries"):
+            det_stack([[[1.9, 0], [0, 1]]], 251)
+        big = np.array([[[2**63 + 5, 0], [0, 1]]], dtype=np.uint64)
+        assert det_stack(big, 251).tolist() == [(2**63 + 5) % 251]
+        assert det_stack(np.array([[[-3, 0], [0, 1]]], dtype=np.int8), 251).tolist() == [248]
 
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError):

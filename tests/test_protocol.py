@@ -239,6 +239,20 @@ class TestSessions:
             assert basis not in seen and generator not in seen
             seen.update((basis, generator))
 
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_session_step_gives_both_parties_next_parameters(self, d):
+        # the update is public: applied to the current shared parameters it
+        # gives both parties' next ones, whichever side opens.  At d=8, seed
+        # 16's key freezes from the eighth session on: a fixed point of next_key
+        alice, bob, _ = make_pair(16, d)
+        for session in range(25):
+            key, _, basis, generator = alice.shared_parameters()
+            expected = protocol.session_step(key, basis, generator)
+            start_session(*((alice, bob) if session % 2 else (bob, alice)))
+            assert alice.shared_parameters() == expected == bob.shared_parameters()
+            if d == 8 and session >= 7:
+                assert protocol.next_key(expected[0]) == expected[0] == key
+
     def test_tokens_change_each_session(self):
         alice, bob, _ = make_pair(10)
         tokens = set()

@@ -77,6 +77,36 @@ def test_eigenbasis_stays_in_commuting():
     assert found == []
 
 
+def _calls_by_scope(path):
+    """(enclosing class and function names, called name) for each call in `path`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                found.append((scope, getattr(child.func, "attr", getattr(child.func, "id", None))))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+def test_session_update_rule_has_one_home():
+    # K -> K**(m*n), with the basis and generator re-derived from the new
+    # key, is public and lives in next_key and session_step; Entity and the
+    # analysis toolkit call those rather than rebuild the rule
+    homes = {"extract_exponents": {"Entity.exponents", "next_key", "session_step"},
+             "pow": {"next_key", "session_step"}}
+    found = [f"protocol.py {scope}: {name}"
+             for scope, name in _calls_by_scope(SRC / "protocol.py")
+             if name in homes and scope not in homes[name]]
+    found += [f"{path.name} {scope}: {name}"
+              for path in sorted(SRC.glob("*.py")) if path.name != "protocol.py"
+              for scope, name in _calls_by_scope(path) if name == "extract_exponents"]
+    assert found == []
+
+
 def test_package_exports():
     # the protocol names only: the analysis toolkit is imported by module name
     assert all(hasattr(geg, name) for name in geg.__all__)
