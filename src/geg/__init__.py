@@ -4,9 +4,9 @@ Two-party key agreement and block encryption in the general linear group
 over a byte-sized prime field (p = 251 by default).  Each cipher session
 re-derives the public basis and generator from the session key; the key
 itself moves until its walk ends in a cycle, most often a fixed point
-K**(m*n) = K.  The analysis toolkit (`geg.analysis`, `geg.polyfield`,
-`geg.factorint`) is imported by module name and not re-exported here, so a
-process that only encrypts never loads it.
+K**(m*n) = K.  The `geg analyze` report (`geg.analysis`) is imported by
+module name and not re-exported here, so a process that only encrypts never
+loads it.
 """
 
 import os

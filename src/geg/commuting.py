@@ -6,7 +6,7 @@ commutative subgroup whose members are indistinguishable from generic group
 elements.  Every element built from the same context commutes with every
 other one; that property is what makes the key agreement close.  The
 protocol reaches the subgroup only through a context's `sandwich`; the
-membership test belongs to the decomposition oracle, `geg.analysis`.
+membership test belongs to the decomposition oracle in the test tree.
 """
 
 from __future__ import annotations

@@ -83,6 +83,8 @@ class WireMessage:
 # -- framing -----------------------------------------------------------------
 
 def frame(msg: WireMessage) -> bytes:
+    if not 2 <= msg.d <= 0xFF:  # the header's dimension byte, as read_frame reads it
+        raise ValueError(f"dimension {msg.d} does not fit the frame header (2 <= d <= 255)")
     return _HEADER.pack(MAGIC, msg.msg_type, msg.d, len(msg.payload)) + msg.payload
 
 

@@ -1,7 +1,8 @@
-"""Integer factorization for group-order computations (analysis toolkit).
+"""Integer factorization for the group-order computations of `gfpoly`, a
+test oracle.
 
 Trial division up to a fixed bound, then Brent-variant Pollard rho, with the
-package's one primality test (`field.is_probable_prime`) on the cofactors.
+package's one primality test (`geg.field.is_probable_prime`) on the cofactors.
 Deterministic: rho sweeps a fixed parameter sequence, so results are
 reproducible.  Sized for 64-bit inputs (the shipped default needs 251**8 - 1).
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .field import is_probable_prime
+from geg.field import is_probable_prime
 
 TRIAL_LIMIT = 1_000_000
 

@@ -1,5 +1,6 @@
 """Monic polynomials over GF(p): irreducibility, random generation, counting,
-and multiplicative-order computation.
+and multiplicative-order computation.  A test oracle: criteria 08 and 09 and
+the companion-matrix tests use it; no `geg` process does.
 
 `PolyFp` only holds coefficients: the arithmetic runs on companion matrices
 (`companion_matrix`) in the matrix layer, so p <= 251, and a polynomial over
@@ -16,12 +17,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrixError
-from .factorint import factorize
-from .field import DEFAULT_PRIME, RandomSource, power, validate_prime
-from .linalg import MatrixFp, _check_modulus, det_stack  # the matrix layer's p <= 251
+from geg.errors import SingularMatrixError
+from geg.field import DEFAULT_PRIME, RandomSource, power, validate_prime
+from geg.linalg import MatrixFp, det_stack
+
+from factorint import factorize
 
 ORDER_LIMIT = 1 << 64
+
+
+def _check_modulus(p: int) -> int:
+    """The matrix layer's p <= 251, checked before a polynomial is built or drawn."""
+    validate_prime(p)
+    if p > DEFAULT_PRIME:
+        raise ValueError(f"matrix layer supports byte-sized primes (p <= {DEFAULT_PRIME}), got {p}")
+    return p
 
 
 class PolyFp:

@@ -19,23 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from geg import errors, wire
-from geg.analysis import (
-    bgsdp_bruteforce,
-    gsdp_verify,
-    instance_from_exchange,
-    is_member,
-    make_instance,
-    order_gl,
-    relation_holds,
-    singular_probability,
-    singular_probability_closed,
-    subgroup_orders,
-)
+from geg.analysis import order_gl, singular_probability, singular_probability_closed, subgroup_orders
 from geg.commuting import CommutingContext
 from geg.errors import CodecError
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
-from geg.polyfield import (
+from geg.protocol import extract_exponents, handshake, setup_shared, start_session
+
+from gfpoly import (
     PolyFp,
     companion_matrix,
     count_irreducible_monic,
@@ -43,8 +34,14 @@ from geg.polyfield import (
     rand_irreducible,
     rand_irreducible_counted,
 )
-from geg.protocol import extract_exponents, handshake, setup_shared, start_session
-
+from gsdp import (
+    bgsdp_bruteforce,
+    gsdp_verify,
+    instance_from_exchange,
+    is_member,
+    make_instance,
+    relation_holds,
+)
 from oracles import (
     all_monic_polys,
     all_square_matrices,

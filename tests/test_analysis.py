@@ -3,15 +3,8 @@ import math
 import pytest
 
 from geg.analysis import (
-    GsdpInstance,
     ambient_counts,
-    bgsdp_bruteforce,
-    gsdp_verify,
-    instance_from_exchange,
-    is_member,
-    make_instance,
     order_gl,
-    relation_holds,
     singular_probability,
     singular_probability_closed,
     subgroup_orders,
@@ -21,6 +14,15 @@ from geg.field import RandomSource
 from geg.linalg import MatrixFp
 from geg.protocol import handshake, setup_shared
 
+from gsdp import (
+    GsdpInstance,
+    bgsdp_bruteforce,
+    gsdp_verify,
+    instance_from_exchange,
+    is_member,
+    make_instance,
+    relation_holds,
+)
 from oracles import all_square_matrices
 
 
@@ -64,6 +66,16 @@ class TestCardinalities:
             (a, b) for a in range(1, 5) for b in range(1, 5) if a != b
         ]
         assert subgroup_orders(2, 5).excluding_zero == len(pairs) == 12
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: order_gl(0, 251), "d >= 1"),
+        (lambda: ambient_counts(-1, 251), "d >= 1"),
+        (lambda: subgroup_orders(5, 5), "cannot exceed"),
+        (lambda: singular_probability(2, 251, 0, RandomSource.deterministic(0)), "trials >= 1"),
+    ], ids=["order_gl", "ambient_counts", "subgroup_orders", "singular_probability"])
+    def test_out_of_range_arguments_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     def test_subgroup_orders_d16_security_level(self):
         orders = subgroup_orders(16, 251)

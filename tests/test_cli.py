@@ -559,6 +559,16 @@ class TestBenchAndAnalyze:
         kv = dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
         assert abs(float(kv["singular_monte_carlo"]) - float(kv["singular_closed_form"])) < 0.01
 
+    def test_analyze_text_monte_carlo_matches_kv(self, capsys):
+        argv = ["analyze", "--dim", "4", "--iterations", "500", "--seed", "07"]
+        code, text, _ = run(capsys, argv)
+        assert code == 0
+        code, out, _ = run(capsys, [*argv, "--format", "kv"])
+        assert code == 0
+        kv = dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
+        assert kv["singular_trials"] == "500"
+        assert f"{kv['singular_monte_carlo']} (monte carlo, 500 trials)" in text
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["demo", "--dim", "9"])

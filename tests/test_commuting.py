@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from geg.analysis import is_member
 from geg.commuting import CommutingContext, DiagonalSpec
 from geg.errors import GegError, SingularMatrixError
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
 
+from gsdp import is_member
 from oracles import naive_matpow
 
 
@@ -18,6 +18,10 @@ class TestDiagonalSpec:
     def test_rejects_repeats(self):
         with pytest.raises(ValueError):
             DiagonalSpec((2, 2), 5)
+
+    def test_rejects_single_eigenvalue(self):
+        with pytest.raises(ValueError, match="at least two eigenvalues"):
+            DiagonalSpec((3,), 5)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

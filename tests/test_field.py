@@ -52,6 +52,11 @@ class TestRandomSource:
         assert [a.randbelow(251) for _ in range(100)] == [b.randbelow(251) for _ in range(100)]
         assert a.array_mod(1000).tolist() == b.array_mod(1000).tolist()
 
+    def test_array_mod_refuses_modulus_above_a_byte(self):
+        rng = RandomSource.deterministic(0)
+        with pytest.raises(ValueError, match="byte-sized moduli only"):
+            rng.array_mod(8, 257)
+
     @pytest.mark.parametrize("seed", [None, "01", -5])
     def test_deterministic_refuses_seed_it_cannot_replay(self, seed):
         # accepted, None seeded from the OS and -5 replayed the stream of 5

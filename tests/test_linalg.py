@@ -4,8 +4,8 @@ import pytest
 from geg.errors import SingularMatrixError
 from geg.field import RandomSource
 from geg.linalg import MatrixFp, det_stack, inv_stack
-from geg.polyfield import PolyFp, companion_matrix
 
+from gfpoly import PolyFp, companion_matrix
 from oracles import (
     all_square_matrices,
     charpoly_by_cofactor,
@@ -93,6 +93,11 @@ class TestMul:
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
             MatrixFp.identity(2, 5) @ MatrixFp.identity(2, 7)
+
+    @pytest.mark.parametrize("other", [np.eye(2, dtype=np.int64), [[1, 0], [0, 1]], 3])
+    def test_non_matrix_operand_refused(self, other):
+        with pytest.raises(TypeError, match="MatrixFp required"):
+            MatrixFp.identity(2, 5) @ other
 
     def test_associativity_random(self):
         rng = RandomSource.deterministic(3)

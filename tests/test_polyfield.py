@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from geg.errors import SingularMatrixError
-from geg.factorint import factorize, is_probable_prime, pollard_rho
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
-from geg.polyfield import (
+
+from factorint import factorize, is_probable_prime, pollard_rho
+from gfpoly import (
     PolyFp,
     companion_matrix,
     count_irreducible_monic,
@@ -15,7 +16,6 @@ from geg.polyfield import (
     rand_irreducible,
     rand_irreducible_counted,
 )
-
 from oracles import all_monic_polys, irreducible_by_trial_division
 
 

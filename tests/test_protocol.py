@@ -278,7 +278,7 @@ class TestSessions:
 
     def test_peer_token_installed_only_in_open_session(self):
         # accepted, a keyed entity lost the setup token that
-        # analysis.instance_from_exchange reads
+        # the oracle gsdp.instance_from_exchange reads
         alice, _, rng = make_pair(30)
         fresh = Entity("initiator", alice.basis, alice.generator)
         token = MatrixFp.random_invertible(rng, 8, 251)

@@ -1,11 +1,13 @@
 """Checks on the source text of `geg` itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import geg
 
 SRC = Path(geg.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_no_assert_statements():
@@ -58,12 +60,11 @@ def test_exponent_pair_never_stored():
 
 def test_eigenbasis_stays_in_commuting():
     # the subgroup's representation P diag(λ) P^-1 has one owner: the protocol
-    # reaches it through CommutingContext.sandwich, and only the membership
-    # test in analysis reads the eigenbasis besides
+    # reaches it through CommutingContext.sandwich
     change = {"to_eigenbasis", "from_eigenbasis", "_from_eigenbasis"}
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py")) if path.name not in ("commuting.py", "analysis.py")
+        for path in sorted(SRC.glob("*.py")) if path.name != "commuting.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in change
     ]
@@ -94,8 +95,8 @@ def _calls_by_scope(path):
 
 def test_session_update_rule_has_one_home():
     # K -> K**(m*n), with the basis and generator re-derived from the new
-    # key, is public and lives in next_key and session_step; Entity and the
-    # analysis toolkit call those rather than rebuild the rule
+    # key, is public and lives in next_key and session_step; Entity calls
+    # those rather than rebuild the rule
     homes = {"extract_exponents": {"Entity.exponents", "next_key", "session_step"},
              "pow": {"next_key", "session_step"}}
     found = [f"protocol.py {scope}: {name}"
@@ -107,8 +108,37 @@ def test_session_update_rule_has_one_home():
     assert found == []
 
 
+def _definitions(tree):
+    """(line, name) of each top-level function and class in `tree`, and of
+    each method that is not a dunder."""
+    defined = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defined):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.lineno, item.name) for item in node.body
+                        if isinstance(item, defined)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def test_every_definition_has_a_caller():
+    # src/geg holds what a geg process runs: a definition that nothing in the
+    # package names is exported API, the console entry point, or a name the
+    # benchmark pins (tracer.TARGETS names its targets by string)
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    referenced = {getattr(node, field[type(node)]) for tree in trees.values()
+                  for node in ast.walk(tree) if type(node) in field}
+    pinned = {word for path in sorted(PERFBENCH.glob("*.py"))
+              for word in re.findall(r"\w+", path.read_text())}
+    allowed = referenced | set(geg.__all__) | pinned | {"main"}
+    found = [f"{name}:{line} {defined}" for name, tree in trees.items()
+             for line, defined in _definitions(tree) if defined not in allowed]
+    assert found == []
+
+
 def test_package_exports():
-    # the protocol names only: the analysis toolkit is imported by module name
+    # the protocol names only: the analyze report is imported by module name
     assert all(hasattr(geg, name) for name in geg.__all__)
     assert sorted(geg.__all__) == [
         "CodecError", "CommutingContext", "CorruptBlockError", "DEFAULT_PRIME", "DiagonalSpec",

@@ -128,6 +128,19 @@ class TestFraming:
         with pytest.raises(ValueError, match="does not carry a single matrix"):
             wire.matrix_message(msg_type, MatrixFp.identity(8))
 
+    @pytest.mark.parametrize("msg", [
+        wire.matrix_message(wire.MSG_TOKEN_INITIAL, MatrixFp.identity(256)),
+        wire.context_message(300, 251),
+        wire.context_message(1, 251),
+    ], ids=["matrix-d256", "context-d300", "context-d1"])
+    def test_frame_refuses_dimension_outside_header_byte(self, msg):
+        with pytest.raises(ValueError, match="does not fit the frame header"):
+            wire.frame(msg)
+
+    def test_frame_takes_largest_header_dimension(self):
+        msg = wire.context_message(255, 251)
+        assert wire.parse(wire.frame(msg)) == msg
+
     @pytest.mark.parametrize("p", [-1, 0, 1, 0x10000])
     def test_context_message_modulus_out_of_range_refused(self, p):
         with pytest.raises(ValueError, match="modulus out of range"):
