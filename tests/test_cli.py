@@ -1,6 +1,8 @@
 import errno
+import itertools
 import os
 import random
+import re
 import tempfile
 
 import numpy as np
@@ -508,26 +510,47 @@ class TestStatePersistence:
         assert f"dimension {d} " in err
 
 
-class TestBenchAndAnalyze:
-    def test_bench_phases_in_order(self, capsys):
-        code, out, _ = run(capsys, ["bench", "--iterations", "5", "--seed", "00"])
-        assert code == 0
-        lines = out.splitlines()
-        order = [
-            "setup of public pair",
-            "token exchange to first key",
-            "session update",
-            "encipher-decipher",
-            "full session",
-        ]
-        positions = [next(i for i, l in enumerate(lines) if key in l) for key in order]
-        assert positions == sorted(positions)
-        assert "within 85 ms budget: yes" in out
+@pytest.fixture
+def fake_clock(monkeypatch):
+    # each clock read is 1 ms after the one before, so every bench phase takes 1 ms
+    ticks = itertools.count()
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks) / 1000)
 
-    def test_bench_kv(self, capsys):
+
+# the line of the text analyze report that prints each kv figure
+TEXT_LINE_OF_KV = {
+    "order_gl": 1, "log10_order_gl": 2, "ambient": 3, "log10_ambient": 4, "nilpotent": 5,
+    "subgroup_order_excl_zero_one": 6, "subgroup_order_excl_zero": 7,
+    "singular_closed_form": 8, "singular_monte_carlo": 9, "security_bits": -1,
+}
+
+
+class TestBenchAndAnalyze:
+    def test_bench_phases_in_order(self, capsys, fake_clock):
+        code, out, _ = run(capsys, ["bench", "--iterations", "3", "--seed", "00"])
+        assert code == 0
+        assert out == (
+            "mean over 3 random iterations at d=8, p=251:\n"
+            "  setup of public pair (P, G)                 :    1.000 ms"
+            "   (reference interpreted run: 0.12 ms)\n"
+            "  token exchange to first key and exponents   :    1.000 ms"
+            "   (reference interpreted run: 29.56 ms)\n"
+            "  session update (open + acknowledge)         :    1.000 ms"
+            "   (reference interpreted run: 52.94 ms)\n"
+            "  encipher-decipher of one block              :    1.000 ms"
+            "   (reference interpreted run: 32.36 ms)\n"
+            "  full session (exchange+update+cipher)        :    3.000 ms"
+            "   within 85 ms budget: yes\n"
+        )
+
+    def test_bench_kv(self, capsys, fake_clock):
         code, out, _ = run(capsys, ["bench", "--iterations", "3", "--format", "kv", "--seed", "00"])
         assert code == 0
-        assert "full_session_ms=" in out and "within_85ms_budget=yes" in out
+        assert out == (
+            "iterations=3\ndim=8\nsetup_ms=1.0000\nkey_exchange_ms=1.0000\n"
+            "session_update_ms=1.0000\ncipher_cycle_ms=1.0000\nfull_session_ms=3.0000\n"
+            "within_85ms_budget=yes\n"
+        )
 
     @pytest.mark.parametrize("d, following", [(8, 481600000), (16, 567211397)])
     def test_bench_stream_position(self, d, following):
@@ -568,6 +591,19 @@ class TestBenchAndAnalyze:
         kv = dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
         assert kv["singular_trials"] == "500"
         assert f"{kv['singular_monte_carlo']} (monte carlo, 500 trials)" in text
+
+    @pytest.mark.parametrize("trials", [0, 500])
+    @pytest.mark.parametrize("d", [2, 8, 16])
+    def test_analyze_text_prints_kv_figures(self, capsys, d, trials):
+        argv = ["analyze", "--dim", str(d), "--iterations", str(trials), "--seed", "07"]
+        _, text, _ = run(capsys, argv)
+        _, out, _ = run(capsys, [*argv, "--format", "kv"])
+        kv = dict(line.split("=", 1) for line in out.splitlines())
+        lines = text.splitlines()
+        assert ("singular_monte_carlo" in kv) == (trials > 0)
+        for key, at in TEXT_LINE_OF_KV.items():
+            if key in kv:
+                assert kv[key] in re.findall(r"\d+(?:\.\d+)?", lines[at]), (key, lines[at])
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

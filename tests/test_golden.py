@@ -65,6 +65,11 @@ def test_analyze_monte_carlo_report(capsys):
     assert sha256(out.encode()) == GOLDEN["analyze_d8_kv"]
 
 
+def test_analyze_monte_carlo_text_report(capsys):
+    out = run(capsys, ["analyze", "--dim", "8", "--seed", "07", "--iterations", "3000"])
+    assert sha256(out.encode()) == GOLDEN["analyze_d8_text"]
+
+
 @pytest.mark.parametrize("key, argv", [
     ("analyze_d16_kv_no_trials", ["--dim", "16", "--iterations", "0", "--format", "kv"]),
     ("analyze_d8_text_no_trials", ["--dim", "8", "--iterations", "0"]),
