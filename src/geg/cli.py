@@ -51,8 +51,14 @@ _STATE_HEADER = struct.Struct(">4sBBHBBBB")
 _ROLE_BYTES = {"initiator": 0x01, "responder": 0x02}
 _ROLE_NAMES = {v: k for k, v in _ROLE_BYTES.items()}
 
-# mean timings of the reference interpreted-language run, for context only
-_REFERENCE_MS = {"setup": 0.12, "exchange": 29.56, "update": 52.94, "cipher": 32.36}
+# the protocol phases geg bench times: kv key, text label, and the mean of the
+# reference interpreted-language run in ms, for context only
+_PHASES = (
+    ("setup_ms", "setup of public pair (P, G)", 0.12),
+    ("key_exchange_ms", "token exchange to first key and exponents", 29.56),
+    ("session_update_ms", "session update (open + acknowledge)", 52.94),
+    ("cipher_cycle_ms", "encipher-decipher of one block", 32.36),
+)
 _FULL_SESSION_BUDGET_MS = 85.0
 
 
@@ -65,6 +71,14 @@ def _rng_from(seed_hex: str | None) -> RandomSource:
 def _show(title: str, m: MatrixFp | np.ndarray) -> None:
     print(title)
     print("\n".join("  " + " ".join(f"{v:3d}" for v in row) for row in m.tolist()))
+
+
+def _print_report(rows: list[tuple[str, str | None]], fmt: str) -> None:
+    """Print a report's kv or text column; a text of None is shown in another row's line."""
+    for kv, text in rows:
+        line = kv if fmt == "kv" else text
+        if line is not None:
+            print(line)
 
 
 # -- state files ---------------------------------------------------------------
@@ -277,7 +291,8 @@ def run_decrypt(args) -> int:
     return EXIT_OK
 
 
-def _bench_once(rng: RandomSource, d: int) -> dict[str, float]:
+def _bench_once(rng: RandomSource, d: int) -> list[float]:
+    """The times of one run's phases in ms, in `_PHASES` order."""
     t0 = time.perf_counter()
     basis, generator = setup_shared(rng, d)
     t1 = time.perf_counter()
@@ -290,103 +305,70 @@ def _bench_once(rng: RandomSource, d: int) -> dict[str, float]:
     t4 = time.perf_counter()
     if not np.array_equal(recovered[0], plain):
         raise GegError("benchmark round-trip failed")
-    return {
-        "setup": (t1 - t0) * 1e3,
-        "exchange": (t2 - t1) * 1e3,
-        "update": (t3 - t2) * 1e3,
-        "cipher": (t4 - t3) * 1e3,
-    }
+    ticks = (t0, t1, t2, t3, t4)
+    return [(end - start) * 1e3 for start, end in zip(ticks, ticks[1:])]
 
 
 def run_bench(args) -> int:
     rng = _rng_from(args.seed)
-    iterations = args.iterations
-    runs = [_bench_once(rng, args.dim) for _ in range(iterations)]
-    means = {k: sum(run[k] for run in runs) / iterations for k in _REFERENCE_MS}
-    full = means["exchange"] + means["update"] + means["cipher"]
+    n, d = args.iterations, args.dim
+    runs = [_bench_once(rng, d) for _ in range(n)]
+    means = [sum(phase) / n for phase in zip(*runs)]
+    full = sum(means[1:])  # exchange + update + cipher
     within = full < _FULL_SESSION_BUDGET_MS
-    if args.format == "kv":
-        print(f"iterations={iterations}")
-        print(f"dim={args.dim}")
-        print(f"setup_ms={means['setup']:.4f}")
-        print(f"key_exchange_ms={means['exchange']:.4f}")
-        print(f"session_update_ms={means['update']:.4f}")
-        print(f"cipher_cycle_ms={means['cipher']:.4f}")
-        print(f"full_session_ms={full:.4f}")
-        print(f"within_85ms_budget={'yes' if within else 'no'}")
-    else:
-        labels = {
-            "setup": "setup of public pair (P, G)",
-            "exchange": "token exchange to first key and exponents",
-            "update": "session update (open + acknowledge)",
-            "cipher": "encipher-decipher of one block",
-        }
-        print(f"mean over {iterations} random iterations at d={args.dim}, p=251:")
-        for key in ("setup", "exchange", "update", "cipher"):
-            print(
-                f"  {labels[key]:<44}: {means[key]:8.3f} ms"
-                f"   (reference interpreted run: {_REFERENCE_MS[key]:.2f} ms)"
-            )
-        print(
-            f"  full session (exchange+update+cipher)        : {full:8.3f} ms"
-            f"   within 85 ms budget: {'yes' if within else 'NO'}"
-        )
+    rows = [
+        (f"iterations={n}", None),
+        (f"dim={d}", f"mean over {n} random iterations at d={d}, p=251:"),
+        *((f"{key}={mean:.4f}",
+           f"  {label:<44}: {mean:8.3f} ms   (reference interpreted run: {ref:.2f} ms)")
+          for (key, label, ref), mean in zip(_PHASES, means)),
+        (f"full_session_ms={full:.4f}",
+         f"  full session (exchange+update+cipher)        : {full:8.3f} ms"
+         f"   within 85 ms budget: {'yes' if within else 'NO'}"),
+        (f"within_85ms_budget={'yes' if within else 'no'}", None),
+    ]
+    _print_report(rows, args.format)
     return EXIT_OK if within else EXIT_PROTOCOL
 
 
 def run_analyze(args) -> int:
     from . import analysis  # only this subcommand needs it; keeps CLI start-up lean
 
-    d, p = args.dim, DEFAULT_PRIME
+    rng = _rng_from(args.seed)  # refuses a bad seed even when no trial runs
+    d, p, trials = args.dim, DEFAULT_PRIME, args.iterations
     gl = analysis.order_gl(d, p)
     counts = analysis.ambient_counts(d, p)
     subgroup = analysis.subgroup_orders(d, p)
     closed = analysis.singular_probability_closed(d, p)
-    mc = None
-    if args.iterations > 0:
-        rng = _rng_from(args.seed)
-        mc = analysis.singular_probability(d, p, args.iterations, rng).monte_carlo
-    bits = math.log2(subgroup.excluding_zero_one)
-    if args.format == "kv":
-        print(f"d={d}")
-        print(f"p={p}")
-        print(f"order_gl={gl}")
-        print(f"log10_order_gl={math.log10(gl):.4f}")
-        print(f"ambient={counts.total}")
-        print(f"log10_ambient={math.log10(counts.total):.4f}")
-        print(f"nilpotent={counts.nilpotent}")
-        print(f"subgroup_order_excl_zero_one={subgroup.excluding_zero_one}")
-        print(f"log2_subgroup_order_excl_zero_one={bits:.4f}")
-        print(f"subgroup_order_excl_zero={subgroup.excluding_zero}")
-        print(f"log2_subgroup_order_excl_zero={math.log2(subgroup.excluding_zero):.4f}")
-        print(f"singular_closed_form={closed:.8f}")
-        if mc is not None:
-            print(f"singular_monte_carlo={mc:.8f}")
-            print(f"singular_trials={args.iterations}")
-        print(f"security_bits={bits:.1f}")
-    else:
-        print(f"parameters: d={d}, p={p}")
-        print(f"|GL(d, F_p)|                 = {gl}")
-        print(f"                               (log10 = {math.log10(gl):.4f})")
-        print(f"all d x d matrices           = {counts.total}")
-        print(f"                               (log10 = {math.log10(counts.total):.4f})")
-        print(f"nilpotent matrices           = {counts.nilpotent}")
-        print(
-            f"commuting subgroup order     = {subgroup.excluding_zero_one}"
-            f"  (eigenvalues excluding 0 and 1, log2 = {bits:.2f})"
-        )
-        print(
-            f"alternative convention       = {subgroup.excluding_zero}"
-            f"  (eigenvalues excluding 0 only, log2 = "
-            f"{math.log2(subgroup.excluding_zero):.2f})"
-        )
-        print(f"singular-draw probability    = {closed:.8f} (closed form)")
-        if mc is not None:
-            print(
-                f"                               {mc:.8f} "
-                f"(monte carlo, {args.iterations} trials)"
-            )
-        print(f"brute-force security estimate: ~{bits:.1f} bits")
+    log10_gl, log10_all = math.log10(gl), math.log10(counts.total)
+    bits, bits_alt = math.log2(subgroup.excluding_zero_one), math.log2(subgroup.excluding_zero)
+    pad = " " * 31  # a continuation line lines up with the values
+    rows = [
+        (f"d={d}", f"parameters: d={d}, p={p}"),
+        (f"p={p}", None),
+        (f"order_gl={gl}", f"|GL(d, F_p)|                 = {gl}"),
+        (f"log10_order_gl={log10_gl:.4f}", f"{pad}(log10 = {log10_gl:.4f})"),
+        (f"ambient={counts.total}", f"all d x d matrices           = {counts.total}"),
+        (f"log10_ambient={log10_all:.4f}", f"{pad}(log10 = {log10_all:.4f})"),
+        (f"nilpotent={counts.nilpotent}", f"nilpotent matrices           = {counts.nilpotent}"),
+        (f"subgroup_order_excl_zero_one={subgroup.excluding_zero_one}",
+         f"commuting subgroup order     = {subgroup.excluding_zero_one}"
+         f"  (eigenvalues excluding 0 and 1, log2 = {bits:.2f})"),
+        (f"log2_subgroup_order_excl_zero_one={bits:.4f}", None),
+        (f"subgroup_order_excl_zero={subgroup.excluding_zero}",
+         f"alternative convention       = {subgroup.excluding_zero}"
+         f"  (eigenvalues excluding 0 only, log2 = {bits_alt:.2f})"),
+        (f"log2_subgroup_order_excl_zero={bits_alt:.4f}", None),
+        (f"singular_closed_form={closed:.8f}",
+         f"singular-draw probability    = {closed:.8f} (closed form)"),
+    ]
+    if trials > 0:
+        mc = analysis.singular_probability(d, p, trials, rng).monte_carlo
+        rows += [(f"singular_monte_carlo={mc:.8f}",
+                  f"{pad}{mc:.8f} (monte carlo, {trials} trials)"),
+                 (f"singular_trials={trials}", None)]
+    rows.append((f"security_bits={bits:.1f}", f"brute-force security estimate: ~{bits:.1f} bits"))
+    _print_report(rows, args.format)
     return EXIT_OK
 
 

@@ -623,6 +623,13 @@ class TestBenchAndAnalyze:
         assert exc.value.code == cli.EXIT_USAGE
         assert "argument --iterations" in capsys.readouterr().err
 
-    def test_bad_seed_is_usage_error(self, capsys):
-        code, _, err = run(capsys, ["demo", "--seed", "zz"])
+    @pytest.mark.parametrize("argv", [
+        ["demo"], ["bench", "--iterations", "1"], ["keyexchange", "--state", "kx"],
+        ["analyze", "--iterations", "0"],
+    ], ids=["demo", "bench", "keyexchange", "analyze-no-trials"])
+    def test_bad_seed_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, [*argv, "--seed", "zz"])
         assert code == cli.EXIT_USAGE
+        assert out == "" and err.startswith("geg: invalid argument")
+        assert list(tmp_path.iterdir()) == []
