@@ -11,7 +11,9 @@ loads it.
 
 import os
 import sys
-if "numpy" not in sys.modules:  # no float products here: BLAS threads only cost start-up and exit
+# the float64 products (linalg.product_mod) go to BLAS one d-by-d matrix at a
+# time, too small to split across threads: a thread pool only costs start-up and exit
+if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .commuting import CommutingContext, DiagonalSpec

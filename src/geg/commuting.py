@@ -5,8 +5,10 @@ conjugating diagonal matrices by one fixed invertible basis matrix yields a
 commutative subgroup whose members are indistinguishable from generic group
 elements.  Every element built from the same context commutes with every
 other one; that property is what makes the key agreement close.  The
-protocol reaches the subgroup only through a context's `sandwich`; the
-membership test belongs to the decomposition oracle in the test tree.
+protocol reaches the subgroup only through a context: `sandwich` applies
+powers of its elements, and `read_weights` and `unmask` read them back off a
+received matrix.  The membership test belongs to the decomposition oracle in
+the test tree.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GegError, SingularMatrixError
+from .errors import GegError, ProtocolError, SingularMatrixError
 from .field import DEFAULT_PRIME, RandomSource, power_table
-from .linalg import MatrixFp
+from .linalg import MatrixFp, inv_stack, product_mod
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,54 @@ class CommutingContext:
         Z^e1 x Z^e2 = P (outer(λ^e1, λ^e2) ∘ x~) P^-1 with x~ = P^-1 x P, so a
         sandwich costs no matrix power.  Leading axes broadcast.
         """
-        p, eigenvalues = self.p, np.asarray(eigenvalues)
-        left, right = (power_table(e, p)[eigenvalues] for e in exponents)
+        p = self.p
+        left, right = self.weights(exponents, eigenvalues)
         weights = left[..., :, np.newaxis] * right[..., np.newaxis, :] % p
         return self._from_eigenbasis(weights * self.to_eigenbasis(x) % p)
+
+    def weights(self, exponents: tuple[int, int], eigenvalues) -> tuple[np.ndarray, np.ndarray]:
+        """(λ^e1, λ^e2) for each eigenvalue list λ on the last axis of
+        `eigenvalues`: a sandwich multiplies x~ entrywise by their outer product."""
+        eigenvalues = np.asarray(eigenvalues)
+        left, right = (power_table(e, self.p)[eigenvalues] for e in exponents)
+        return left, right
+
+    def read_weights(self, stack, generator: MatrixFp) -> tuple[np.ndarray, np.ndarray]:
+        """The inverse of `sandwich` on the generator G: two (N, d) arrays
+        (u, v) of nonzero residues with P^-1 stack[k] P = outer(u[k], v[k]) ∘ G~
+        for an (N, d, d) stack, where G~ = P^-1 G P.  Each connected component
+        of G~'s support fixes its part of (u, v) up to one scale, and the first
+        row of each component reads 1.  Raises ProtocolError naming the lowest
+        matrix of the stack that is no such sandwich."""
+        x, g = self.to_eigenbasis(stack), self.to_eigenbasis(generator)
+        u, v, fits = read_outer(x, g, self.p)
+        invertible = (u != 0).all(axis=1) & (v != 0).all(axis=1)
+        bad = np.flatnonzero(~(fits & invertible))
+        if bad.size:
+            # outer(u, v) ∘ G~ with a zero weight is diag(u) G~ diag(v): singular
+            why = "is singular" if fits[bad[0]] else "is not a sandwich of the generator"
+            raise ProtocolError(f"matrix {bad[0]} of the stack {why}")
+        return u, v
+
+    def unmask(self, y1, y2, generator: MatrixFp, token_weights) -> np.ndarray:
+        """y2 mask^-1 for each block of (N, d, d) stacks, as int64 residues.
+
+        y1 = J^e1 G J^e2 is a sandwich of the generator by an element J of
+        this context, and the mask is J^e1 T J^e2 for a token T with
+        T~ = outer(w1, w2) ∘ G~, where (w1, w2) = `token_weights` (see
+        `weights`).  With (u, v) read off y1 by `read_weights`, the mask is
+        P diag(a) G~ diag(b) P^-1 for a = u w1 and b = v w2, so
+        mask^-1 = P (G~^-1 ∘ outer(1/b, 1/a)) P^-1: one inverse per call,
+        none per block.  Raises ProtocolError as `read_weights` does.
+        """
+        p = self.p
+        u, v = self.read_weights(y1, generator)
+        g_inv = inv_stack(self.to_eigenbasis(generator)[np.newaxis], p)
+        inverse = power_table(p - 2, p)
+        w1, w2 = token_weights
+        a, b = inverse[u * w1 % p], inverse[v * w2 % p]
+        middle = g_inv * b[:, :, np.newaxis] * a[:, np.newaxis, :] % p
+        return product_mod([y2, self.basis, middle, self.basis_inv], p)
 
     def to_eigenbasis(self, x) -> np.ndarray:
         """basis**-1 @ x @ basis for a matrix or an (N, d, d) stack, as int64
@@ -110,10 +156,60 @@ class CommutingContext:
         return self._change_basis(self.basis, x, self.basis_inv)
 
     def _change_basis(self, left: MatrixFp, x, right: MatrixFp) -> np.ndarray:
-        # entries stay below d**2 * p**3 < 2**63, so one reduction suffices
-        product = left.array.astype(np.int64) @ np.asarray(x, dtype=np.int64)
-        return product @ right.array.astype(np.int64) % self.p
+        return product_mod([left, x, right], self.p)
 
     def random_element(self, rng: RandomSource) -> MatrixFp:
         """Fresh subgroup member; commutes with everything from this context."""
         return self.conjugate(DiagonalSpec.random(rng, self.d, self.p))
+
+
+def read_outer(x: np.ndarray, g: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, fits) for an (N, d, d) stack x and a d-by-d matrix g of residues.
+
+    u and v are (N, d) residues read off x ∘ g^{∘-1} along a spanning forest
+    of the bipartite graph that joins row i to column j where g[i, j] != 0,
+    with u = 1 at the first row of each component.  fits[k] says whether
+    x[k] == outer(u[k], v[k]) ∘ g; where it holds, every pair that fits is
+    (u[k], v[k]) rescaled by one factor per component.  u or v holds a zero
+    where x has a zero on an edge of the forest.
+    """
+    inverse = power_table(p - 2, p)  # v**-1 for nonzero v, and 0 for 0
+    u = np.ones((x.shape[0], g.shape[0]), dtype=np.int64)
+    v = np.ones_like(u)
+    for rows, cols, to_cols in _forest_levels(g != 0):
+        ratio = x[:, rows, cols] * inverse[g[rows, cols]] % p
+        if to_cols:
+            v[:, cols] = ratio * inverse[u[:, rows]] % p
+        else:
+            u[:, rows] = ratio * inverse[v[:, cols]] % p
+    fits = (x == u[:, :, np.newaxis] * v[:, np.newaxis, :] * g % p).all(axis=(1, 2))
+    return u, v, fits
+
+
+def _forest_levels(support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+    """The edges of a breadth-first spanning forest of the bipartite graph
+    with an edge (row i, column j) wherever support[i, j], one level at a
+    time: (rows, cols, to_cols), where to_cols says that the level reaches
+    the columns from rows seen before it, and not the rows from columns.
+    Each component is rooted at its first row."""
+    d = support.shape[0]
+    row_seen, col_seen = np.zeros(d, dtype=bool), np.zeros(d, dtype=bool)
+    levels = []
+    for root in range(d):
+        if row_seen[root]:
+            continue
+        row_seen[root] = True
+        frontier, to_cols = [root], True
+        while frontier:
+            edges = []
+            for node in frontier:
+                line, seen = (support[node], col_seen) if to_cols else (support[:, node], row_seen)
+                reached = np.flatnonzero(line & ~seen)
+                seen[reached] = True
+                edges += [(node, j) if to_cols else (j, node) for j in reached]
+            if edges:
+                rows, cols = np.array(edges).T
+                levels.append((rows, cols, to_cols))
+            frontier = [edge[1] if to_cols else edge[0] for edge in edges]
+            to_cols = not to_cols
+    return levels

@@ -1,9 +1,11 @@
 """Dense d-by-d matrix algebra over a prime field.
 
 This is the carrier of the non-commutative group GL(d, F_p).  Entries are
-canonical byte residues stored in numpy uint8 arrays; products upcast to
-int64, reduce mod p and narrow back, so every operation stays in fixed-width
-machine arithmetic.  d is a runtime parameter (8 and 16 are the shipped
+canonical byte residues stored in numpy uint8 arrays.  Single matrices and
+elimination upcast to int64, reduce mod p and narrow back; chains of stacked
+products go through `product_mod`, which multiplies in float64 where every
+sum is an exact integer.  Every operation stays in fixed-width machine
+arithmetic.  d is a runtime parameter (8 and 16 are the shipped
 protocol sizes, anything >= 2 works for analysis).
 """
 
@@ -136,6 +138,46 @@ class MatrixFp:
 
     def __repr__(self) -> str:
         return f"MatrixFp(d={self.d}, p={self.p})"
+
+
+# float64 holds every integer below 2**53 exactly
+_EXACT = 2.0**53
+
+
+def product_mod(factors, p: int = DEFAULT_PRIME) -> np.ndarray:
+    """The product of a chain of two or more residue matrices or (N, d, d)
+    stacks mod p, as int64 residues; leading axes broadcast as for `@`.
+
+    The products run in float64, exact while every partial sum stays below
+    2**53.  Entries of a product of k residue factors of width d stay below
+    d**(k-1) * (p-1)**k, so the running product is reduced, with
+    t - p * floor(t / p), only before a factor that could take it past that
+    (at d <= 16 and p = 251, never within four factors).  ValueError if even
+    the product of two residue factors of this width would not be exact.
+    """
+    factors = [np.asarray(f) for f in factors]
+    top = p - 1
+    width = max(f.shape[-1] for f in factors[:-1])
+    if width * top * top >= _EXACT:
+        raise ValueError(f"a product of width {width} mod {p} is not exact in float64")
+    product, bound = factors[0].astype(np.float64, copy=False), top
+    for factor in factors[1:]:
+        width = product.shape[-1]
+        if bound * width * top >= _EXACT:
+            product, bound = _reduce(product, p), top
+        product = product @ factor.astype(np.float64, copy=False)
+        bound *= width * top
+    return _reduce(product, p).astype(np.int64)
+
+
+def _reduce(t: np.ndarray, p: int) -> np.ndarray:
+    """t mod p for float64 integers t below 2**53.  The rounded t / p is off
+    by less than 1/p, and the true quotient is an integer or at least 1/p
+    from one, so its floor is exact."""
+    q = t / p
+    np.floor(q, out=q)
+    q *= p
+    return np.subtract(t, q, out=q)
 
 
 def _eliminate(aug: np.ndarray, p: int) -> np.ndarray:

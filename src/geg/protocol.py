@@ -15,9 +15,10 @@ cycle, most often a fixed point K**(m*n) = K after which the key and the
 pair stay fixed (m*n = 1 mod p is one way to reach one, not the only one).
 The only long-term private material is each party's eigenvalue list.
 
-Both sides must apply updates in lockstep; there is no in-band detection of
-a desynchronized peer (a lost acknowledgement surfaces only as garbage
-plaintext downstream).
+Both sides must apply updates in lockstep.  Decryption refuses a y1 that is
+no sandwich of the receiver's current generator, so a ciphertext from
+another session is refused; a stale acknowledgement is checked only for
+invertibility and surfaces as garbage plaintext, and so does a tampered y2.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import enum
 import numpy as np
 
 from .commuting import CommutingContext, DiagonalSpec
-from .errors import ProtocolError, SingularMatrixError
+from .errors import ProtocolError
 from .field import DEFAULT_PRIME, RandomSource
-from .linalg import MatrixFp, det_stack, inv_stack
+from .linalg import MatrixFp, det_stack, product_mod
 
 
 class Phase(enum.Enum):
@@ -262,7 +263,7 @@ class Entity:
         public = np.stack([self.generator.array, self.peer_token.array])
         sandwiches = self.context.sandwich(public, self.exponents, ephemeral)
         y1, mask = sandwiches[:, 0], sandwiches[:, 1]
-        y2 = plains.astype(np.int64) @ mask % self.p
+        y2 = product_mod([plains, mask], self.p)
         return y1.astype(np.uint8), y2.astype(np.uint8)
 
     def decrypt_blocks(self, y1, y2) -> np.ndarray:
@@ -273,13 +274,15 @@ class Entity:
         y1, y2 = self._check_blocks("y1", y1), self._check_blocks("y2", y2)
         if y2.shape != y1.shape:
             raise ValueError("y1 and y2 hold different numbers of blocks")
-        # y2 (B^m y1 B^n)^-1, B this entity's private element
+        # y2 (B^m y1 B^n)^-1, B this entity's private element: the mask
+        # B^m y1 B^n is read entrywise off y1 and the weights of this
+        # entity's session token B^m G B^n, so no block is inverted
+        token_weights = self.context.weights(self.exponents, self._eigenvalues.values)
         try:
-            masked = self.context.sandwich(y1, self.exponents, self._eigenvalues.values)
-            unmask = inv_stack(masked, self.p)
-        except SingularMatrixError as exc:
-            raise ProtocolError("malformed ciphertext: masked generator is singular") from exc
-        return (y2.astype(np.int64) @ unmask % self.p).astype(np.uint8)
+            plains = self.context.unmask(y1, y2, self.generator, token_weights)
+        except ProtocolError as exc:
+            raise ProtocolError(f"malformed ciphertext: y1: {exc}") from exc
+        return plains.astype(np.uint8)
 
     def _check_blocks(self, name: str, blocks) -> np.ndarray:
         """`blocks` as an (N, d, d) integer array of residues in [0, p), or

@@ -11,6 +11,7 @@ import pytest
 from geg import cli, wire
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
+from geg.protocol import start_session
 
 from oracles import loop_encode_plaintext, reference_encrypt
 
@@ -169,6 +170,7 @@ class TestFileCrypto:
     # a valid d=8 stream: context frame (12 bytes), then three cipher frames of
     # 10 + 128 bytes; the second cipher frame starts at byte 150
     BASIS_FRAME = wire.frame(wire.matrix_message(wire.MSG_BASIS_INIT, MatrixFp.identity(8)))
+    RANDOM_Y1 = MatrixFp.random_invertible(RandomSource.deterministic(7), 8).array.tobytes()
     MALFORMED = {
         "truncated-last-frame": (lambda s: s[:-1], cli.EXIT_CODEC, "payload of 128 bytes is truncated"),
         "partial-trailing-header": (lambda s: s + s[12:17], cli.EXIT_CODEC, "truncated frame header"),
@@ -179,6 +181,8 @@ class TestFileCrypto:
                                    cli.EXIT_CODEC, "not a cipher-block message"),
         "other-d-byte": (lambda s: s[:155] + b"\x10" + s[156:], cli.EXIT_CODEC, "d=16"),
         "singular-y1": (lambda s: s[:160] + bytes(64) + s[224:], cli.EXIT_PROTOCOL, "singular"),
+        "random-y1": (lambda s: s[:160] + TestFileCrypto.RANDOM_Y1 + s[224:], cli.EXIT_PROTOCOL,
+                      "y1: matrix 1 of the stack is not a sandwich of the generator"),
         "context-frame-only": (lambda s: s[:12], cli.EXIT_CODEC, "holds no cipher-block frames"),
         "empty-file": (lambda s: b"", cli.EXIT_CODEC, "ciphertext stream is empty"),
     }
@@ -199,6 +203,40 @@ class TestFileCrypto:
         assert code == exit_code
         assert message in err
         assert not dst.exists()
+
+    @pytest.mark.parametrize("seed", ["beef", "01", "02"])
+    def test_ciphertext_of_an_earlier_session_refused(self, capsys, tmp_path, seed):
+        # encrypted in one session, decrypted after both sides moved on one:
+        # the responder's basis and generator have moved, and y1 fits them no more
+        init, resp = self.exchange(capsys, tmp_path, seed)
+        src, enc, dst = tmp_path / "p.bin", tmp_path / "c.geg", tmp_path / "o.bin"
+        src.write_bytes(random.Random(6).randbytes(2000))
+        assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc)])[0] == 0
+        alice, bob = cli.load_state(init), cli.load_state(resp)
+        start_session(alice, bob)
+        cli.save_state(init, alice)
+        cli.save_state(resp, bob)
+        code, out, err = run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc), "--out", str(dst)])
+        assert code == cli.EXIT_PROTOCOL
+        assert out == "" and "malformed ciphertext: y1: matrix 0 of the stack" in err
+        assert not dst.exists()
+
+    def test_decrypt_eliminates_no_stack_of_blocks(self, capsys, tmp_path, monkeypatch):
+        # 600 blocks decrypt in three calls of decrypt_blocks; past the state
+        # check, each call inverts one matrix, G~, and no block
+        from geg import linalg
+
+        init, resp = self.exchange(capsys, tmp_path)
+        src, enc, dst = tmp_path / "p.bin", tmp_path / "c.geg", tmp_path / "o.bin"
+        data = random.Random(600).randbytes(600 * wire.block_capacity(8) - 1)
+        src.write_bytes(data)
+        assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc)])[0] == 0
+        shapes, eliminate = [], linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate",
+                            lambda aug, p: shapes.append(aug.shape) or eliminate(aug, p))
+        assert run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc), "--out", str(dst)])[0] == 0
+        assert dst.read_bytes() == data
+        assert shapes == [(1, 8, 16), (3, 8, 8)] + [(1, 8, 16)] * 3
 
     @pytest.mark.parametrize("dim", [8, 16])
     @pytest.mark.parametrize("blocks", [1, 255, 256, 257, 600])
@@ -458,11 +496,12 @@ class TestStatePersistence:
     @pytest.mark.parametrize("target", ["generator", "peer_token"])
     def test_decrypt_checks_generator_and_peer_token_only_for_invertibility(
             self, capsys, tmp_path, target):
-        # decrypt reads the basis, the session key and the eigenvalues; the
-        # responder's generator and peer token pass its load as long as they
-        # are invertible, so the identity in either still round-trips.  Once a
-        # received token is checked by its structure (ROADMAP item 10), the
-        # peer-token case becomes a refusal: an open edit of this test.
+        # the responder's generator and peer token pass its load as long as
+        # they are invertible.  Decrypt reads y1 against the generator, so the
+        # identity there refuses every block; it does not read the peer token,
+        # so the identity there still round-trips.  Once a received token is
+        # checked by its structure (ROADMAP item 10), the peer-token case
+        # becomes a refusal too: an open edit of this test.
         prefix = tmp_path / "kx"
         assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", "beef"])[0] == 0
         init, resp = prefix.with_name("kx.initiator"), prefix.with_name("kx.responder")
@@ -475,9 +514,13 @@ class TestStatePersistence:
         src.write_bytes(data)
         assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src),
                             "--out", str(enc), "--seed", "11"])[0] == cli.EXIT_OK
-        assert run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc),
-                            "--out", str(dst)])[0] == cli.EXIT_OK
-        assert dst.read_bytes() == data
+        code, _, err = run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc),
+                                    "--out", str(dst)])
+        if target == "generator":
+            assert code == cli.EXIT_PROTOCOL and "not a sandwich of the generator" in err
+            assert not dst.exists()
+        else:
+            assert code == cli.EXIT_OK and dst.read_bytes() == data
 
     @pytest.mark.parametrize("d", [8, 16])
     def test_load_runs_two_eliminations(self, capsys, tmp_path, monkeypatch, d):

@@ -1,13 +1,16 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from geg.commuting import CommutingContext, DiagonalSpec
-from geg.errors import GegError, SingularMatrixError
+from geg.commuting import CommutingContext, DiagonalSpec, read_outer
+from geg.errors import GegError, ProtocolError, SingularMatrixError
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
+from geg.protocol import handshake, setup_shared, start_session
 
 from gsdp import is_member
-from oracles import naive_matpow
+from oracles import all_square_matrices, naive_matpow
 
 
 class TestDiagonalSpec:
@@ -192,3 +195,117 @@ class TestMembership:
         ctx = CommutingContext(MatrixFp.random_invertible(rng, 4, 251))
         inner = MatrixFp([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 5], [0, 0, 0, 4]], 251)
         assert not is_member(ctx, ctx.basis @ inner @ ctx.basis_inv)
+
+
+def support_components(g):
+    """Connected components of the bipartite graph joining row i to column j
+    where g[i][j] != 0, by union-find over the 2d nodes."""
+    d = len(g)
+    parent = list(range(2 * d))
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, j in product(range(d), repeat=2):
+        if g[i][j]:
+            parent[root(i)] = root(d + j)
+    return len({root(a) for a in range(2 * d)})
+
+
+def rebuild(ctx, u, v, generator):
+    """P (outer(u, v) ∘ G~) P^-1 for each weight pair."""
+    weights = u[:, :, np.newaxis] * v[:, np.newaxis, :] % ctx.p
+    return ctx._from_eigenbasis(weights * ctx.to_eigenbasis(generator) % ctx.p)
+
+
+def honest_stack(ctx, generator, rng, n):
+    """n sandwiches J^e1 G J^e2, each with its own element J of the context."""
+    exponents = (rng.nonzero(ctx.p), rng.nonzero(ctx.p))
+    eigenvalues = [DiagonalSpec.random(rng, ctx.d, ctx.p).values for _ in range(n)]
+    return ctx.sandwich(generator, exponents, eigenvalues)
+
+
+class TestReader:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_accepts_exactly_the_honest_set_at_d2(self, p):
+        # every G in GL(2, p) against every 2x2 matrix, in eigenbasis
+        # coordinates (P = I): the accepted set is {outer(u, v) ∘ G : u, v
+        # nonzero}, of (p-1)**(2d - c) members for c components of G's support
+        every = np.array(list(all_square_matrices(2, p)))
+        code = every.reshape(-1, 4) @ p ** np.arange(4)  # one integer per matrix
+        units = np.array(list(product(range(1, p), repeat=2)))
+        outers = (units[:, np.newaxis, :, np.newaxis] * units[np.newaxis, :, np.newaxis, :]).reshape(-1, 2, 2)
+        invertible = (every[:, 0, 0] * every[:, 1, 1] - every[:, 0, 1] * every[:, 1, 0]) % p != 0
+        sizes = set()
+        for g in every[invertible]:
+            honest = np.unique((outers * g % p).reshape(-1, 4) @ p ** np.arange(4))
+            assert len(honest) == (p - 1) ** (4 - support_components(g.tolist()))
+            u, v, fits = read_outer(every, g, p)
+            accepted = fits & (u != 0).all(axis=1) & (v != 0).all(axis=1)
+            assert np.array_equal(np.sort(code[accepted]), honest)
+            sizes.add(len(honest))
+        assert sizes == {(p - 1) ** 3, (p - 1) ** 2}  # connected support, and diagonal or anti-diagonal
+
+    @pytest.mark.parametrize("d, seed", [(8, 4), (8, 25), (8, 28), (16, 1), (16, 23), (16, 35)])
+    def test_reads_honest_y1_where_the_generator_has_zeros(self, d, seed):
+        # the session's G~ = P^-1 G P has a zero entry on these seeds
+        rng = RandomSource.deterministic(seed)
+        alice, bob = handshake(*setup_shared(rng, d), rng)
+        start_session(alice, bob)
+        ctx, generator = bob.context, bob.generator
+        assert (ctx.to_eigenbasis(generator) == 0).any()
+        y1, _ = alice.encrypt_blocks(np.zeros((20, d, d), np.int64), rng)
+        u, v = ctx.read_weights(y1, generator)
+        assert u.shape == v.shape == (20, d)
+        assert (u[:, 0] == 1).all() and (u != 0).all() and (v != 0).all()
+        assert np.array_equal(rebuild(ctx, u, v, generator), y1)
+
+    def test_one_free_scale_per_component(self):
+        # G~ of two blocks, rows and columns 0-3 and 4-7: rows 0 and 4 read 1
+        rng = RandomSource.deterministic(30)
+        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+        inner = np.zeros((8, 8), np.int64)
+        inner[:4, :4] = MatrixFp.random_invertible(rng, 4, 251).array
+        inner[4:, 4:] = MatrixFp.random_invertible(rng, 4, 251).array
+        inner[1, 2] = inner[6, 5] = 0
+        generator = MatrixFp(ctx._from_eigenbasis(inner), 251)
+        assert support_components(ctx.to_eigenbasis(generator).tolist()) == 2
+        stack = honest_stack(ctx, generator, rng, 10)
+        u, v = ctx.read_weights(stack, generator)
+        assert (u[:, [0, 4]] == 1).all()
+        assert np.array_equal(rebuild(ctx, u, v, generator), stack)
+        assert u[:, 1:4].any() and u[:, 5:].any()
+
+    @pytest.mark.parametrize("bad, edit, why", [
+        (0, "random", "is not a sandwich of the generator"),
+        (3, "random", "is not a sandwich of the generator"),
+        (9, "random", "is not a sandwich of the generator"),
+        (3, "zero", "is singular"),
+        (5, "one entry", "is not a sandwich of the generator"),
+    ])
+    def test_names_the_bad_member(self, bad, edit, why):
+        rng = RandomSource.deterministic(31)
+        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+        generator = MatrixFp.random_invertible(rng, 8, 251)
+        stack = honest_stack(ctx, generator, rng, 10)
+        ctx.read_weights(stack, generator)
+        if edit == "random":
+            stack[bad] = MatrixFp.random_invertible(rng, 8, 251).array
+        elif edit == "zero":
+            stack[bad] = 0
+        else:
+            stack[bad, 2, 5] = (stack[bad, 2, 5] + 1) % 251
+        with pytest.raises(ProtocolError, match=f"^matrix {bad} of the stack {why}$"):
+            ctx.read_weights(stack, generator)
+
+    def test_names_the_lowest_bad_member(self):
+        rng = RandomSource.deterministic(32)
+        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+        generator = MatrixFp.random_invertible(rng, 8, 251)
+        stack = honest_stack(ctx, generator, rng, 10)
+        stack[7] = MatrixFp.random_invertible(rng, 8, 251).array
+        stack[4] = 0
+        with pytest.raises(ProtocolError, match="^matrix 4 of the stack is singular$"):
+            ctx.read_weights(stack, generator)

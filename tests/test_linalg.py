@@ -3,7 +3,7 @@ import pytest
 
 from geg.errors import SingularMatrixError
 from geg.field import RandomSource
-from geg.linalg import MatrixFp, det_stack, inv_stack
+from geg.linalg import MatrixFp, det_stack, inv_stack, product_mod
 
 from gfpoly import PolyFp, companion_matrix
 from oracles import (
@@ -205,6 +205,50 @@ class TestInvStack:
         assert int(inv_stack(big, 251)[0, 0, 0]) * (2**63 + 5) % 251 == 1
         small = np.array([[[-3, 0], [0, 1]]], dtype=np.int8)  # int8 % 251 overflows in numpy 2
         assert inv_stack(small, 251)[0, 0, 0] * 248 % 251 == 1
+
+
+def int64_chain(factors, p):
+    """The product of a chain in int64, reduced after every product."""
+    product = np.asarray(factors[0], dtype=np.int64) % p
+    for factor in factors[1:]:
+        product = product @ np.asarray(factor, dtype=np.int64) % p
+    return product
+
+
+class TestProductMod:
+    # the chains the cipher multiplies: y2 @ mask (two stacks), a change of
+    # basis (matrix, stack, matrix) and the unmask (stack, matrix, stack, matrix)
+    CHAINS = {"stack-stack": "SS", "basis-change": "MSM", "unmask": "SMSM"}
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_matches_int64_on_random_stacks(self, d, chain):
+        rng = np.random.default_rng(d)
+        shapes = {"S": (40, d, d), "M": (d, d)}
+        factors = [rng.integers(0, 251, shapes[kind]).astype(np.uint8) for kind in self.CHAINS[chain]]
+        got = product_mod(factors, 251)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, int64_chain(factors, 251))
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_matches_int64_on_all_p_minus_one(self, d, chain):
+        # the largest sums: every entry 250, d**(k-1) * 250**k before reduction
+        factors = [np.full((3, d, d) if kind == "S" else (d, d), 250) for kind in self.CHAINS[chain]]
+        assert np.array_equal(product_mod(factors, 251), int64_chain(factors, 251))
+
+    def test_reduces_within_a_long_chain(self):
+        # 64**5 * 250**6 passes 2**53, so this chain is reduced on the way
+        factors = [np.full((64, 64), 250)] * 6 + [np.arange(64 * 64).reshape(64, 64) % 251]
+        assert np.array_equal(product_mod(factors, 251), int64_chain(factors, 251))
+
+    @pytest.mark.parametrize("width, p", [(2, 2**31 - 1), (2**38, 251)])
+    def test_refuses_a_width_float64_cannot_hold(self, width, p):
+        # width * (p-1)**2 >= 2**53; the zero-stride views allocate nothing
+        wide = np.broadcast_to(np.zeros((1, 1), np.uint8), (2, width))
+        tall = np.broadcast_to(np.zeros((1, 1), np.uint8), (width, 2))
+        with pytest.raises(ValueError, match=f"width {width} mod {p} is not exact"):
+            product_mod([wide, tall], p)
 
 
 class TestDetStack:

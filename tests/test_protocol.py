@@ -375,14 +375,29 @@ class TestCipher:
         tampered[0, 0, 0] = (tampered[0, 0, 0] + 1) % 251
         assert not np.array_equal(bob.decrypt_blocks(y1, tampered), [plain])
 
-    def test_mismatched_session_decrypts_wrong(self):
+    def test_mismatched_session_refused(self):
+        # y1 is read against the receiver's basis and generator, and those
+        # of another pairing do not fit it
         alice, bob, rng = make_pair(19)
         start_session(alice, bob)
         other_alice, other_bob, _ = make_pair(20)
         start_session(other_alice, other_bob)
         plain = MatrixFp.random(rng, 8, 251)
         y1, y2 = alice.encrypt_blocks([plain], rng)
-        assert not np.array_equal(other_bob.decrypt_blocks(y1, y2), [plain])
+        with pytest.raises(ProtocolError, match="malformed ciphertext: y1: matrix 0 of the stack is not"):
+            other_bob.decrypt_blocks(y1, y2)
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_decrypt_is_the_paper_formula(self, d):
+        # H = y2 (B^m y1 B^n)^-1 with B the receiver's private element, for
+        # any y2: the entrywise unmask and the inverse of the mask agree
+        alice, bob, rng = make_pair(33, d)
+        start_session(alice, bob)
+        y1, _ = alice.encrypt_blocks(np.zeros((6, d, d), np.int64), rng)
+        y2 = np.array([MatrixFp.random(rng, d, 251).array for _ in range(6)])
+        masks = bob.context.sandwich(y1, bob.exponents, bob.eigenvalues.values)
+        want = [(MatrixFp(h, 251) @ MatrixFp(m, 251).inv()).array for h, m in zip(y2, masks)]
+        assert np.array_equal(bob.decrypt_blocks(y1, y2), want)
 
     def test_encrypt_requires_open_session(self):
         alice, bob, rng = make_pair(21)
