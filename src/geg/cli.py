@@ -284,7 +284,7 @@ def run_decrypt(args) -> int:
     plains = np.empty_like(y1)
     for start in range(0, len(y1), BATCH_BLOCKS):
         batch = slice(start, start + BATCH_BLOCKS)
-        plains[batch] = entity.decrypt_blocks(y1[batch], y2[batch])
+        plains[batch] = entity.decrypt_blocks(y1[batch], y2[batch], first=start)
     data = wire.decode_plaintext(plains)
     _write_atomic([(Path(args.output), [data])])
     print(f"decrypted {len(plains)} blocks into {len(data)} bytes -> {args.output}")

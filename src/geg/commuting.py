@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GegError, ProtocolError, SingularMatrixError
+from .errors import GegError, MalformedMatrixError, SingularMatrixError
 from .field import DEFAULT_PRIME, RandomSource, power_table
 from .linalg import MatrixFp, inv_stack, product_mod
 
@@ -114,16 +114,15 @@ class CommutingContext:
         (u, v) of nonzero residues with P^-1 stack[k] P = outer(u[k], v[k]) ∘ G~
         for an (N, d, d) stack, where G~ = P^-1 G P.  Each connected component
         of G~'s support fixes its part of (u, v) up to one scale, and the first
-        row of each component reads 1.  Raises ProtocolError naming the lowest
-        matrix of the stack that is no such sandwich."""
+        row of each component reads 1.  Raises MalformedMatrixError for the
+        lowest matrix of the stack that is no such sandwich."""
         x, g = self.to_eigenbasis(stack), self.to_eigenbasis(generator)
         u, v, fits = read_outer(x, g, self.p)
         invertible = (u != 0).all(axis=1) & (v != 0).all(axis=1)
         bad = np.flatnonzero(~(fits & invertible))
         if bad.size:
             # outer(u, v) ∘ G~ with a zero weight is diag(u) G~ diag(v): singular
-            why = "is singular" if fits[bad[0]] else "is not a sandwich of the generator"
-            raise ProtocolError(f"matrix {bad[0]} of the stack {why}")
+            raise MalformedMatrixError(int(bad[0]), bool(fits[bad[0]]))
         return u, v
 
     def unmask(self, y1, y2, generator: MatrixFp, token_weights) -> np.ndarray:
@@ -135,7 +134,7 @@ class CommutingContext:
         `weights`).  With (u, v) read off y1 by `read_weights`, the mask is
         P diag(a) G~ diag(b) P^-1 for a = u w1 and b = v w2, so
         mask^-1 = P (G~^-1 ∘ outer(1/b, 1/a)) P^-1: one inverse per call,
-        none per block.  Raises ProtocolError as `read_weights` does.
+        none per block.  Raises MalformedMatrixError as `read_weights` does.
         """
         p = self.p
         u, v = self.read_weights(y1, generator)
@@ -191,7 +190,8 @@ def _forest_levels(support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, bo
     with an edge (row i, column j) wherever support[i, j], one level at a
     time: (rows, cols, to_cols), where to_cols says that the level reaches
     the columns from rows seen before it, and not the rows from columns.
-    Each component is rooted at its first row."""
+    Each component is rooted at its first row; a node joins the forest
+    through the first node of the level before that reaches it."""
     d = support.shape[0]
     row_seen, col_seen = np.zeros(d, dtype=bool), np.zeros(d, dtype=bool)
     levels = []
@@ -199,17 +199,14 @@ def _forest_levels(support: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, bo
         if row_seen[root]:
             continue
         row_seen[root] = True
-        frontier, to_cols = [root], True
-        while frontier:
-            edges = []
-            for node in frontier:
-                line, seen = (support[node], col_seen) if to_cols else (support[:, node], row_seen)
-                reached = np.flatnonzero(line & ~seen)
+        frontier, to_cols = np.array([root]), True
+        while frontier.size:
+            lines, seen = (support[frontier], col_seen) if to_cols else (support[:, frontier].T, row_seen)
+            links = lines & ~seen  # links[k, j]: frontier[k] reaches the unseen node j
+            reached = np.flatnonzero(links.any(axis=0))
+            if reached.size:
+                parents = frontier[links[:, reached].argmax(axis=0)]
                 seen[reached] = True
-                edges += [(node, j) if to_cols else (j, node) for j in reached]
-            if edges:
-                rows, cols = np.array(edges).T
-                levels.append((rows, cols, to_cols))
-            frontier = [edge[1] if to_cols else edge[0] for edge in edges]
-            to_cols = not to_cols
+                levels.append((parents, reached, True) if to_cols else (reached, parents, False))
+            frontier, to_cols = reached, not to_cols
     return levels

@@ -18,6 +18,22 @@ class ProtocolError(GegError):
     """Protocol state machine misuse or inconsistent peer data."""
 
 
+class MalformedMatrixError(ProtocolError):
+    """A received matrix is no sandwich Z^a G Z^b of the generator it must fit.
+
+    `index` is its place in the stack that was read; `singular` says that it
+    has the form, but with a zero weight.
+    """
+
+    def __init__(self, index: int, singular: bool):
+        self.index, self.singular = index, singular
+        super().__init__(f"matrix {index} of the stack {self.reason}")
+
+    @property
+    def reason(self) -> str:
+        return "is singular" if self.singular else "is not a sandwich of the generator"
+
+
 class CodecError(GegError):
     """Base class for wire-format and block-codec errors."""
 

@@ -15,10 +15,14 @@ cycle, most often a fixed point K**(m*n) = K after which the key and the
 pair stay fixed (m*n = 1 mod p is one way to reach one, not the only one).
 The only long-term private material is each party's eigenvalue list.
 
-Both sides must apply updates in lockstep.  Decryption refuses a y1 that is
-no sandwich of the receiver's current generator, so a ciphertext from
-another session is refused; a stale acknowledgement is checked only for
-invertibility and surfaces as garbage plaintext, and so does a tampered y2.
+Both sides must apply updates in lockstep.  Every matrix an entity receives
+from its peer, both setup tokens, both session tokens and every y1, is a
+sandwich Z^a G Z^b of the current generator, and is refused unless it is
+one for the current basis and generator: a ciphertext from another session,
+a stale acknowledgement and an open token from a peer a session ahead all
+raise ProtocolError.  That is a consistency check, not authentication:
+anyone can build a token that passes from public values.  A tampered y2
+still decrypts silently to wrong plaintext.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import enum
 import numpy as np
 
 from .commuting import CommutingContext, DiagonalSpec
-from .errors import ProtocolError
+from .errors import MalformedMatrixError, ProtocolError
 from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp, det_stack, product_mod
 
@@ -170,7 +174,7 @@ class Entity:
         if self.phase is not Phase.FRESH or self._eigenvalues is not None:
             # a second draw would strand a peer already holding the first token
             raise ProtocolError("keygen runs once, on a fresh entity")
-        self._check_received(generator=self.generator)
+        self._check_invertible(generator=self.generator)
         # exponents from [1, p-1]: zero would degrade the token to the bare generator
         k1 = rng.nonzero(self.p)
         k2 = rng.nonzero(self.p)
@@ -183,7 +187,7 @@ class Entity:
         """Combine the peer's setup token into the first common key."""
         if self.phase is not Phase.FRESH or self._initial_exponents is None:
             raise ProtocolError("derive_session_key requires keygen on a fresh entity")
-        self._check_received(peer_token=peer_token)
+        self._check_token(peer_token, self.context, self.generator)
         key = self.context.sandwich(peer_token, self._initial_exponents, self._eigenvalues.values)
         self.session_key = MatrixFp(key, self.p)
         self.peer_token = peer_token
@@ -195,10 +199,13 @@ class Entity:
         """Move to the next session and return this side's token for it.
         session_step's public values, the context and the token are computed
         first, then committed together, so a failure partway changes nothing.
-        `peer_token` is the acker's checked token; the opener's is None until
-        the answer arrives."""
+        `peer_token` is the acker's received token, checked against the next
+        session's basis and generator; the opener's is None until the answer
+        arrives."""
         key, pair, basis, generator = session_step(self.session_key, self.basis, self.generator)
         context = CommutingContext(basis)
+        if peer_token is not None:
+            self._check_token(peer_token, context, generator)
         token = MatrixFp(context.sandwich(generator, pair, self._eigenvalues.values), self.p)
         self.session_key, self.context, self.generator = key, context, generator
         self.peer_token, self.phase = peer_token, Phase.SESSION_OPEN
@@ -218,25 +225,40 @@ class Entity:
         """Mirror the peer's session update and return the answering token."""
         if self.phase is Phase.FRESH:
             raise ProtocolError("ack_session requires a derived key")
-        self._check_received(peer_token=peer_token)  # before the update: a refusal moves nothing
         return self._refresh_session(peer_token)
 
     def install_peer_token(self, token: MatrixFp) -> None:
         """Store the peer's current session token (needed to encrypt)."""
         if self.phase is not Phase.SESSION_OPEN:  # a keyed entity keeps its setup token
             raise ProtocolError("install_peer_token requires an open session")
-        self._check_received(peer_token=token)
+        self._check_token(token, self.context, self.generator)
         self.peer_token = token
 
-    def _check_received(self, **matrices: MatrixFp) -> None:
+    def _check_token(self, token: MatrixFp, context: CommutingContext, generator: MatrixFp) -> None:
+        """Refuse a peer token that is no sandwich Z^a G Z^b of `generator`
+        by an element Z of `context`, the form of every honest token.  Such a
+        token is invertible, since det T = det G * prod(u) * prod(v) for its
+        nonzero weights (u, v), so no determinant is taken."""
+        self._check_shape("peer_token", token)
+        try:
+            context.read_weights(token.array[np.newaxis], generator)
+        except MalformedMatrixError as exc:
+            why = "is singular" if exc.singular else "does not match this session's generator"
+            raise ProtocolError(f"peer_token {why}") from exc
+
+    def _check_invertible(self, **matrices: MatrixFp) -> None:
         """Refuse any of the named matrices that is not an invertible d-by-d
-        matrix over this entity's field; one elimination checks them all."""
+        matrix over this entity's field; one elimination checks them all.
+        Only for the matrices that are no sandwich of the generator."""
         for name, m in matrices.items():
-            if m.d != self.d or m.p != self.p:
-                raise ProtocolError(f"{name} is not a {self.d}x{self.d} matrix over F_{self.p}")
+            self._check_shape(name, m)
         for name, det in zip(matrices, det_stack(list(matrices.values()), self.p)):
             if det == 0:
                 raise ProtocolError(f"{name} is singular")
+
+    def _check_shape(self, name: str, m: MatrixFp) -> None:
+        if m.d != self.d or m.p != self.p:
+            raise ProtocolError(f"{name} is not a {self.d}x{self.d} matrix over F_{self.p}")
 
     # -- cipher ----------------------------------------------------------------
 
@@ -266,9 +288,10 @@ class Entity:
         y2 = product_mod([plains, mask], self.p)
         return y1.astype(np.uint8), y2.astype(np.uint8)
 
-    def decrypt_blocks(self, y1, y2) -> np.ndarray:
+    def decrypt_blocks(self, y1, y2, first: int = 0) -> np.ndarray:
         """Invert (N, d, d) stacks of blocks encrypted against this entity's
-        session token; returns the uint8 plaintext stack."""
+        session token; returns the uint8 plaintext stack.  A refused y1 is
+        named by its index plus `first`, the caller's place for y1[0]."""
         if self.phase is not Phase.SESSION_OPEN:
             raise ProtocolError("decrypt requires an open session")
         y1, y2 = self._check_blocks("y1", y1), self._check_blocks("y2", y2)
@@ -280,8 +303,9 @@ class Entity:
         token_weights = self.context.weights(self.exponents, self._eigenvalues.values)
         try:
             plains = self.context.unmask(y1, y2, self.generator, token_weights)
-        except ProtocolError as exc:
-            raise ProtocolError(f"malformed ciphertext: y1: {exc}") from exc
+        except MalformedMatrixError as exc:
+            raise ProtocolError(f"malformed ciphertext: y1: matrix {first + exc.index} "
+                                f"of the stack {exc.reason}") from exc
         return plains.astype(np.uint8)
 
     def _check_blocks(self, name: str, blocks) -> np.ndarray:
@@ -325,7 +349,9 @@ class Entity:
         """Rebuild a session-open entity from persisted fields; the exponent
         pair is re-derived from the session key."""
         entity = cls(role, basis, generator)
-        entity._check_received(generator=generator, session_key=session_key, peer_token=peer_token)
+        # the session key is a power of the first key after an update: no sandwich
+        entity._check_invertible(generator=generator, session_key=session_key)
+        entity._check_token(peer_token, entity.context, generator)
         if eigenvalues.d != entity.d or eigenvalues.p != entity.p:
             raise ProtocolError(f"eigenvalues are not {entity.d} residues mod {entity.p}")
         entity.session_key, entity.peer_token = session_key, peer_token

@@ -236,7 +236,22 @@ class TestFileCrypto:
                             lambda aug, p: shapes.append(aug.shape) or eliminate(aug, p))
         assert run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc), "--out", str(dst)])[0] == 0
         assert dst.read_bytes() == data
-        assert shapes == [(1, 8, 16), (3, 8, 8)] + [(1, 8, 16)] * 3
+        assert shapes == [(1, 8, 16), (2, 8, 8)] + [(1, 8, 16)] * 3
+
+    def test_refused_block_is_named_by_its_place_in_the_file(self, capsys, tmp_path):
+        # decrypt runs in batches of BATCH_BLOCKS; block 300 is the 45th of the second
+        init, resp = self.exchange(capsys, tmp_path)
+        src, enc, dst = tmp_path / "p.bin", tmp_path / "c.geg", tmp_path / "o.bin"
+        src.write_bytes(random.Random(600).randbytes(600 * wire.block_capacity(8) - 1))
+        assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc)])[0] == 0
+        stream = bytearray(enc.read_bytes())
+        y1 = 12 + 300 * 138 + 10  # context frame, 300 cipher frames, one frame header
+        stream[y1 : y1 + 64] = self.RANDOM_Y1
+        enc.write_bytes(bytes(stream))
+        code, out, err = run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc), "--out", str(dst)])
+        assert code == cli.EXIT_PROTOCOL and out == ""
+        assert "y1: matrix 300 of the stack is not a sandwich of the generator" in err
+        assert not dst.exists()
 
     @pytest.mark.parametrize("dim", [8, 16])
     @pytest.mark.parametrize("blocks", [1, 255, 256, 257, 600])
@@ -489,19 +504,18 @@ class TestStatePersistence:
         assert got == code
         assert stdout == "" and err.startswith("geg: ") and "Traceback" not in err
         if code == cli.EXIT_PROTOCOL:
-            assert f"{target} is singular" in err
+            # a row-copied peer token is singular, but no sandwich of the generator either
+            refusal = "does not match this session's generator" if (
+                target, fault) == ("peer_token", "row copy") else "is singular"
+            assert f"{target} {refusal}" in err
         assert messages.get(target, "") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("target", ["generator", "peer_token"])
-    def test_decrypt_checks_generator_and_peer_token_only_for_invertibility(
-            self, capsys, tmp_path, target):
-        # the responder's generator and peer token pass its load as long as
-        # they are invertible.  Decrypt reads y1 against the generator, so the
-        # identity there refuses every block; it does not read the peer token,
-        # so the identity there still round-trips.  Once a received token is
-        # checked by its structure (ROADMAP item 10), the peer-token case
-        # becomes a refusal too: an open edit of this test.
+    def test_generator_and_peer_token_checked_by_structure(self, capsys, tmp_path, target):
+        # the identity is invertible, but the load reads the peer token
+        # against the generator: in either place, the identity leaves a peer
+        # token that is no sandwich of the generator, and decrypt never starts
         prefix = tmp_path / "kx"
         assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", "beef"])[0] == 0
         init, resp = prefix.with_name("kx.initiator"), prefix.with_name("kx.responder")
@@ -516,16 +530,14 @@ class TestStatePersistence:
                             "--out", str(enc), "--seed", "11"])[0] == cli.EXIT_OK
         code, _, err = run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc),
                                     "--out", str(dst)])
-        if target == "generator":
-            assert code == cli.EXIT_PROTOCOL and "not a sandwich of the generator" in err
-            assert not dst.exists()
-        else:
-            assert code == cli.EXIT_OK and dst.read_bytes() == data
+        assert code == cli.EXIT_PROTOCOL
+        assert "peer_token does not match this session's generator" in err
+        assert not dst.exists()
 
     @pytest.mark.parametrize("d", [8, 16])
     def test_load_runs_two_eliminations(self, capsys, tmp_path, monkeypatch, d):
-        # one inverse of the basis, then one determinant stack over G, K and
-        # the peer token
+        # one inverse of the basis, then one determinant stack over G and K;
+        # the peer token is read against them, with no elimination
         from geg import linalg
 
         prefix = tmp_path / "kx"
@@ -535,7 +547,7 @@ class TestStatePersistence:
         monkeypatch.setattr(linalg, "_eliminate",
                             lambda aug, p: shapes.append(aug.shape) or eliminate(aug, p))
         cli.load_state(prefix.with_name("kx.responder"))
-        assert shapes == [(1, d, 2 * d), (3, d, d)]
+        assert shapes == [(1, d, 2 * d), (2, d, d)]
 
     @pytest.mark.parametrize("d", [0, 2, 12])
     def test_unsupported_dimension_rejected(self, capsys, tmp_path, d):

@@ -124,6 +124,15 @@ class TestKeyAgreement:
         with pytest.raises(ProtocolError):
             alice.derive_session_key(MatrixFp([[0] * 8] * 8, 251))
 
+    def test_setup_token_of_another_generator_rejected(self):
+        # invertible, but no sandwich of this pairing's generator
+        rng = RandomSource.deterministic(5)
+        alice = Entity("initiator", *setup_shared(rng, 8))
+        alice.keygen(rng)
+        with pytest.raises(ProtocolError, match="^peer_token does not match this session's generator$"):
+            alice.derive_session_key(MatrixFp.random_invertible(rng, 8, 251))
+        assert alice.phase is Phase.FRESH and alice.session_key is None
+
     @pytest.mark.parametrize("d, p", [(8, 7), (4, 251)])
     def test_peer_token_of_another_size_or_field_rejected(self, d, p):
         rng = RandomSource.deterministic(6)
@@ -299,6 +308,55 @@ class TestSessions:
         with pytest.raises(ProtocolError, match="peer_token"):
             bob.ack_session(bad)
         assert (bob.shared_parameters(), bob.peer_token, bob.phase) == before
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_dropped_ack_refused(self, d):
+        # the opener opens, no ack arrives, and it opens again: its second
+        # open token is a session ahead of the acker's next basis and generator
+        for seed in range(5):
+            alice, bob, _ = make_pair(seed, d)
+            start_session(alice, bob)
+            alice.open_session()
+            ahead = alice.open_session()
+            before = (bob.shared_parameters(), bob.peer_token, bob.phase)
+            with pytest.raises(ProtocolError, match="^peer_token does not match this session's generator$"):
+                bob.ack_session(ahead)
+            assert (bob.shared_parameters(), bob.peer_token, bob.phase) == before
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_stale_ack_refused(self, d):
+        # the ack of the session before does not fit the current generator
+        for seed in range(5):
+            alice, bob, _ = make_pair(seed, d)
+            _, stale = start_session(alice, bob)
+            _, current = start_session(alice, bob)
+            with pytest.raises(ProtocolError, match="^peer_token does not match this session's generator$"):
+                alice.install_peer_token(stale)
+            assert alice.peer_token is current
+
+    @pytest.mark.parametrize("d, seed", [(8, 4), (8, 25), (8, 28), (16, 1), (16, 23), (16, 35)])
+    def test_honest_tokens_pass_where_the_generator_has_zeros(self, d, seed):
+        # G~ = P^-1 G P has a zero entry after the first update on these
+        # seeds; both setup tokens and every session token are checked
+        alice, bob, _ = make_pair(seed, d)
+        start_session(alice, bob)
+        assert (bob.context.to_eigenbasis(bob.generator) == 0).any()
+        for _ in range(2):
+            start_session(alice, bob)
+        assert alice.shared_parameters() == bob.shared_parameters()
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_start_session_inverts_two_bases_and_nothing_else(self, monkeypatch, d):
+        # each side builds one context for the next basis; the two tokens
+        # are read against it, with no determinant
+        from geg import linalg
+
+        alice, bob, _ = make_pair(31, d)
+        shapes, eliminate = [], linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate",
+                            lambda aug, p: shapes.append(aug.shape) or eliminate(aug, p))
+        start_session(alice, bob)
+        assert shapes == [(1, d, 2 * d)] * 2
 
     @pytest.mark.parametrize("step", ["open", "ack"])
     def test_failed_update_moves_nothing(self, monkeypatch, step):
@@ -510,6 +568,8 @@ class TestRestore:
         with pytest.raises(ProtocolError, match="peer_token is not a 8x8 matrix over F_251"):
             Entity.restore(*fields, bob.session_key, bob.eigenvalues,
                            MatrixFp.identity(8, 7))
+        with pytest.raises(ProtocolError, match="peer_token does not match this session's generator"):
+            Entity.restore(*fields, bob.session_key, bob.eigenvalues, MatrixFp.identity(8, 251))
 
     def test_restore_checks_generator(self):
         alice, bob, _ = make_pair(27)
