@@ -55,23 +55,27 @@ class DiagonalSpec:
 
 
 class CommutingContext:
-    """A fixed invertible basis matrix with its cached inverse.
+    """A session's public pair, invertible basis P and generator G, with P^-1,
+    G~ = P^-1 G P and G~^-1 = P^-1 G^-1 P cached from one elimination.
 
     Immutable: a protocol session update builds a fresh context.  The cached
-    inverse is re-derived on construction and checked, because a stale
-    inverse silently breaks every later commutation.
-    """
+    P^-1 is checked, because a stale inverse silently breaks every later
+    commutation."""
 
-    __slots__ = ("basis", "basis_inv")
+    __slots__ = ("basis", "basis_inv", "generator", "_generator", "_generator_inv")
 
-    def __init__(self, basis: MatrixFp):
-        self.basis = basis
+    def __init__(self, basis: MatrixFp, generator: MatrixFp):
+        if generator.d != basis.d or generator.p != basis.p:
+            raise ValueError(f"generator is not a {basis.d}x{basis.d} matrix over F_{basis.p}")
         try:
-            self.basis_inv = basis.inv()
+            basis_inv, generator_inv = inv_stack([basis, generator], basis.p)
         except SingularMatrixError as exc:
-            raise SingularMatrixError("basis is singular") from exc
+            raise SingularMatrixError(f"{('basis', 'generator')[exc.index]} is singular") from exc
+        self.basis, self.basis_inv = basis, MatrixFp(basis_inv, basis.p)
         if self.basis @ self.basis_inv != MatrixFp.identity(basis.d, basis.p):
             raise GegError("cached basis inverse does not invert the basis")
+        self.generator, self._generator = generator, self.to_eigenbasis(generator)
+        self._generator_inv = self.to_eigenbasis(generator_inv)
 
     @property
     def d(self) -> int:
@@ -109,15 +113,14 @@ class CommutingContext:
         left, right = (power_table(e, self.p)[eigenvalues] for e in exponents)
         return left, right
 
-    def read_weights(self, stack, generator: MatrixFp) -> tuple[np.ndarray, np.ndarray]:
+    def read_weights(self, stack) -> tuple[np.ndarray, np.ndarray]:
         """The inverse of `sandwich` on the generator G: two (N, d) arrays
         (u, v) of nonzero residues with P^-1 stack[k] P = outer(u[k], v[k]) ∘ G~
         for an (N, d, d) stack, where G~ = P^-1 G P.  Each connected component
         of G~'s support fixes its part of (u, v) up to one scale, and the first
         row of each component reads 1.  Raises MalformedMatrixError for the
         lowest matrix of the stack that is no such sandwich."""
-        x, g = self.to_eigenbasis(stack), self.to_eigenbasis(generator)
-        u, v, fits = read_outer(x, g, self.p)
+        u, v, fits = read_outer(self.to_eigenbasis(stack), self._generator, self.p)
         invertible = (u != 0).all(axis=1) & (v != 0).all(axis=1)
         bad = np.flatnonzero(~(fits & invertible))
         if bad.size:
@@ -125,7 +128,7 @@ class CommutingContext:
             raise MalformedMatrixError(int(bad[0]), bool(fits[bad[0]]))
         return u, v
 
-    def unmask(self, y1, y2, generator: MatrixFp, token_weights) -> np.ndarray:
+    def unmask(self, y1, y2, token_weights) -> np.ndarray:
         """y2 mask^-1 for each block of (N, d, d) stacks, as int64 residues.
 
         y1 = J^e1 G J^e2 is a sandwich of the generator by an element J of
@@ -133,29 +136,25 @@ class CommutingContext:
         T~ = outer(w1, w2) ∘ G~, where (w1, w2) = `token_weights` (see
         `weights`).  With (u, v) read off y1 by `read_weights`, the mask is
         P diag(a) G~ diag(b) P^-1 for a = u w1 and b = v w2, so
-        mask^-1 = P (G~^-1 ∘ outer(1/b, 1/a)) P^-1: one inverse per call,
-        none per block.  Raises MalformedMatrixError as `read_weights` does.
+        mask^-1 = P (G~^-1 ∘ outer(1/b, 1/a)) P^-1, with the context's G~^-1:
+        no inverse is taken.  Raises MalformedMatrixError as `read_weights` does.
         """
         p = self.p
-        u, v = self.read_weights(y1, generator)
-        g_inv = inv_stack(self.to_eigenbasis(generator)[np.newaxis], p)
+        u, v = self.read_weights(y1)
         inverse = power_table(p - 2, p)
         w1, w2 = token_weights
         a, b = inverse[u * w1 % p], inverse[v * w2 % p]
-        middle = g_inv * b[:, :, np.newaxis] * a[:, np.newaxis, :] % p
+        middle = self._generator_inv * b[:, :, np.newaxis] * a[:, np.newaxis, :] % p
         return product_mod([y2, self.basis, middle, self.basis_inv], p)
 
     def to_eigenbasis(self, x) -> np.ndarray:
         """basis**-1 @ x @ basis for a matrix or an (N, d, d) stack, as int64
         residues: a subgroup element becomes diagonal here."""
-        return self._change_basis(self.basis_inv, x, self.basis)
+        return product_mod([self.basis_inv, x, self.basis], self.p)
 
     def _from_eigenbasis(self, x) -> np.ndarray:
         """basis @ x @ basis**-1, the inverse of to_eigenbasis."""
-        return self._change_basis(self.basis, x, self.basis_inv)
-
-    def _change_basis(self, left: MatrixFp, x, right: MatrixFp) -> np.ndarray:
-        return product_mod([left, x, right], self.p)
+        return product_mod([self.basis, x, self.basis_inv], self.p)
 
     def random_element(self, rng: RandomSource) -> MatrixFp:
         """Fresh subgroup member; commutes with everything from this context."""

@@ -11,7 +11,12 @@ class GegError(Exception):
 
 
 class SingularMatrixError(GegError):
-    """A matrix required to be invertible has zero determinant."""
+    """A matrix required to be invertible has zero determinant; `index` is
+    its place in the stack that was inverted, if there was one."""
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
 
 
 class ProtocolError(GegError):

@@ -224,5 +224,6 @@ def inv_stack(stack, p: int = DEFAULT_PRIME) -> np.ndarray:
     aug = np.concatenate([a, np.broadcast_to(np.eye(d, dtype=np.int64), a.shape)], axis=2)
     singular = np.flatnonzero(_eliminate(aug, p) == 0)
     if singular.size:
-        raise SingularMatrixError(f"matrix {singular[0]} of the stack has no inverse mod {p}")
+        index = int(singular[0])
+        raise SingularMatrixError(f"matrix {index} of the stack has no inverse mod {p}", index)
     return aug[:, :, d:]

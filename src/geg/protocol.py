@@ -34,7 +34,7 @@ import numpy as np
 from .commuting import CommutingContext, DiagonalSpec
 from .errors import MalformedMatrixError, ProtocolError
 from .field import DEFAULT_PRIME, RandomSource
-from .linalg import MatrixFp, det_stack, product_mod
+from .linalg import MatrixFp, product_mod
 
 
 class Phase(enum.Enum):
@@ -117,14 +117,14 @@ def start_session(opener: Entity, acker: Entity) -> tuple[MatrixFp, MatrixFp]:
 
 class Entity:
     """One party's protocol state; single-owner, mutated by the steps below.
-    The exponent pair is read off the session key, never stored beside it."""
+    The exponent pair is read off the session key, and the public pair
+    (basis, generator) off the context that checks it; neither is stored."""
 
     def __init__(self, role: str, basis: MatrixFp, generator: MatrixFp):
         if role not in ("initiator", "responder"):
             raise ValueError(f"role must be 'initiator' or 'responder', got {role!r}")
         self.role = role
-        self.context = CommutingContext(basis)  # checks basis invertibility
-        self.generator = generator  # checked where first used: keygen or restore
+        self.context = CommutingContext(basis, generator)
         self.session_key: MatrixFp | None = None
         self.peer_token: MatrixFp | None = None
         self.phase = Phase.FRESH
@@ -144,6 +144,10 @@ class Entity:
     @property
     def basis(self) -> MatrixFp:
         return self.context.basis
+
+    @property
+    def generator(self) -> MatrixFp:
+        return self.context.generator
 
     @property
     def exponents(self) -> tuple[int, int] | None:
@@ -174,7 +178,6 @@ class Entity:
         if self.phase is not Phase.FRESH or self._eigenvalues is not None:
             # a second draw would strand a peer already holding the first token
             raise ProtocolError("keygen runs once, on a fresh entity")
-        self._check_invertible(generator=self.generator)
         # exponents from [1, p-1]: zero would degrade the token to the bare generator
         k1 = rng.nonzero(self.p)
         k2 = rng.nonzero(self.p)
@@ -187,7 +190,7 @@ class Entity:
         """Combine the peer's setup token into the first common key."""
         if self.phase is not Phase.FRESH or self._initial_exponents is None:
             raise ProtocolError("derive_session_key requires keygen on a fresh entity")
-        self._check_token(peer_token, self.context, self.generator)
+        self._check_token(peer_token, self.context)
         key = self.context.sandwich(peer_token, self._initial_exponents, self._eigenvalues.values)
         self.session_key = MatrixFp(key, self.p)
         self.peer_token = peer_token
@@ -203,11 +206,11 @@ class Entity:
         session's basis and generator; the opener's is None until the answer
         arrives."""
         key, pair, basis, generator = session_step(self.session_key, self.basis, self.generator)
-        context = CommutingContext(basis)
+        context = CommutingContext(basis, generator)
         if peer_token is not None:
-            self._check_token(peer_token, context, generator)
+            self._check_token(peer_token, context)
         token = MatrixFp(context.sandwich(generator, pair, self._eigenvalues.values), self.p)
-        self.session_key, self.context, self.generator = key, context, generator
+        self.session_key, self.context = key, context
         self.peer_token, self.phase = peer_token, Phase.SESSION_OPEN
         return token
 
@@ -231,30 +234,20 @@ class Entity:
         """Store the peer's current session token (needed to encrypt)."""
         if self.phase is not Phase.SESSION_OPEN:  # a keyed entity keeps its setup token
             raise ProtocolError("install_peer_token requires an open session")
-        self._check_token(token, self.context, self.generator)
+        self._check_token(token, self.context)
         self.peer_token = token
 
-    def _check_token(self, token: MatrixFp, context: CommutingContext, generator: MatrixFp) -> None:
-        """Refuse a peer token that is no sandwich Z^a G Z^b of `generator`
-        by an element Z of `context`, the form of every honest token.  Such a
-        token is invertible, since det T = det G * prod(u) * prod(v) for its
-        nonzero weights (u, v), so no determinant is taken."""
+    def _check_token(self, token: MatrixFp, context: CommutingContext) -> None:
+        """Refuse a peer token that is no sandwich Z^a G Z^b of the generator
+        G of `context` by an element Z of it, the form of every honest token.
+        Such a token is invertible, since det T = det G * prod(u) * prod(v)
+        for its nonzero weights (u, v), so no determinant is taken."""
         self._check_shape("peer_token", token)
         try:
-            context.read_weights(token.array[np.newaxis], generator)
+            context.read_weights(token.array[np.newaxis])
         except MalformedMatrixError as exc:
             why = "is singular" if exc.singular else "does not match this session's generator"
             raise ProtocolError(f"peer_token {why}") from exc
-
-    def _check_invertible(self, **matrices: MatrixFp) -> None:
-        """Refuse any of the named matrices that is not an invertible d-by-d
-        matrix over this entity's field; one elimination checks them all.
-        Only for the matrices that are no sandwich of the generator."""
-        for name, m in matrices.items():
-            self._check_shape(name, m)
-        for name, det in zip(matrices, det_stack(list(matrices.values()), self.p)):
-            if det == 0:
-                raise ProtocolError(f"{name} is singular")
 
     def _check_shape(self, name: str, m: MatrixFp) -> None:
         if m.d != self.d or m.p != self.p:
@@ -302,7 +295,7 @@ class Entity:
         # entity's session token B^m G B^n, so no block is inverted
         token_weights = self.context.weights(self.exponents, self._eigenvalues.values)
         try:
-            plains = self.context.unmask(y1, y2, self.generator, token_weights)
+            plains = self.context.unmask(y1, y2, token_weights)
         except MalformedMatrixError as exc:
             raise ProtocolError(f"malformed ciphertext: y1: matrix {first + exc.index} "
                                 f"of the stack {exc.reason}") from exc
@@ -350,8 +343,10 @@ class Entity:
         pair is re-derived from the session key."""
         entity = cls(role, basis, generator)
         # the session key is a power of the first key after an update: no sandwich
-        entity._check_invertible(generator=generator, session_key=session_key)
-        entity._check_token(peer_token, entity.context, generator)
+        entity._check_shape("session_key", session_key)
+        if session_key.det() == 0:
+            raise ProtocolError("session_key is singular")
+        entity._check_token(peer_token, entity.context)
         if eigenvalues.d != entity.d or eigenvalues.p != entity.p:
             raise ProtocolError(f"eigenvalues are not {entity.d} residues mod {entity.p}")
         entity.session_key, entity.peer_token = session_key, peer_token

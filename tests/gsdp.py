@@ -66,8 +66,9 @@ def make_instance(
     rng: RandomSource, d: int, p: int, max_exp: int
 ) -> tuple[GsdpInstance, tuple[MatrixFp, int, int]]:
     """Generate a solvable instance plus the construction witness."""
-    context = CommutingContext(MatrixFp.random_invertible(rng, d, p))
+    basis = MatrixFp.random_invertible(rng, d, p)
     x = MatrixFp.random_invertible(rng, d, p)
+    context = CommutingContext(basis, x)
     z = context.random_element(rng)
     m = 1 + rng.randbelow(max_exp)
     n = 1 + rng.randbelow(max_exp)

@@ -241,7 +241,7 @@ def test_criterion_09_element_order():
 
 def test_criterion_10_commutativity():
     rng = RandomSource.deterministic(b"criterion-10")
-    ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+    ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251), MatrixFp.identity(8, 251))
     for _ in range(1000):
         a = ctx.random_element(rng)
         b = ctx.random_element(rng)

@@ -163,8 +163,9 @@ class TestBruteForce:
 
     def test_unsatisfiable_returns_none(self):
         rng = RandomSource.deterministic(6)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 2, 5))
+        basis = MatrixFp.random_invertible(rng, 2, 5)
         x = MatrixFp.random_invertible(rng, 2, 5)
+        ctx = CommutingContext(basis, x)
         # y independent of x: no witness within bounds (verified: exhaustive
         # search is itself the ground truth for nonexistence)
         y = MatrixFp([[1, 2], [3, 3]], 5)

@@ -223,7 +223,7 @@ class TestFileCrypto:
 
     def test_decrypt_eliminates_no_stack_of_blocks(self, capsys, tmp_path, monkeypatch):
         # 600 blocks decrypt in three calls of decrypt_blocks; past the state
-        # check, each call inverts one matrix, G~, and no block
+        # check, no call eliminates: G~^-1 is the context's, and no block is inverted
         from geg import linalg
 
         init, resp = self.exchange(capsys, tmp_path)
@@ -236,7 +236,7 @@ class TestFileCrypto:
                             lambda aug, p: shapes.append(aug.shape) or eliminate(aug, p))
         assert run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc), "--out", str(dst)])[0] == 0
         assert dst.read_bytes() == data
-        assert shapes == [(1, 8, 16), (2, 8, 8)] + [(1, 8, 16)] * 3
+        assert shapes == [(2, 8, 16), (1, 8, 8)]
 
     def test_refused_block_is_named_by_its_place_in_the_file(self, capsys, tmp_path):
         # decrypt runs in batches of BATCH_BLOCKS; block 300 is the 45th of the second
@@ -536,8 +536,8 @@ class TestStatePersistence:
 
     @pytest.mark.parametrize("d", [8, 16])
     def test_load_runs_two_eliminations(self, capsys, tmp_path, monkeypatch, d):
-        # one inverse of the basis, then one determinant stack over G and K;
-        # the peer token is read against them, with no elimination
+        # one inverse of the basis and generator together, then the determinant
+        # of K; the peer token is read against them, with no elimination
         from geg import linalg
 
         prefix = tmp_path / "kx"
@@ -547,7 +547,7 @@ class TestStatePersistence:
         monkeypatch.setattr(linalg, "_eliminate",
                             lambda aug, p: shapes.append(aug.shape) or eliminate(aug, p))
         cli.load_state(prefix.with_name("kx.responder"))
-        assert shapes == [(1, d, 2 * d), (2, d, d)]
+        assert shapes == [(2, d, 2 * d), (1, d, d)]
 
     @pytest.mark.parametrize("d", [0, 2, 12])
     def test_unsupported_dimension_rejected(self, capsys, tmp_path, d):

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from geg import commuting
 from geg.commuting import CommutingContext, DiagonalSpec, read_outer
 from geg.errors import GegError, ProtocolError, SingularMatrixError
 from geg.field import RandomSource
@@ -11,6 +12,11 @@ from geg.protocol import handshake, setup_shared, start_session
 
 from gsdp import is_member
 from oracles import all_square_matrices, naive_matpow
+
+
+def subgroup(rng, d, p=251):
+    """A context for tests of the subgroup alone: its generator is the identity."""
+    return CommutingContext(MatrixFp.random_invertible(rng, d, p), MatrixFp.identity(d, p))
 
 
 class TestDiagonalSpec:
@@ -46,23 +52,45 @@ class TestDiagonalSpec:
 class TestContext:
     def test_singular_basis_rejected(self):
         with pytest.raises(SingularMatrixError, match="basis is singular"):
-            CommutingContext(MatrixFp([[1, 1], [1, 1]], 5))
+            CommutingContext(MatrixFp([[1, 1], [1, 1]], 5), MatrixFp.identity(2, 5))
+
+    @pytest.mark.parametrize("basis, name", [
+        ([[1, 1], [0, 1]], "generator"),
+        ([[1, 1], [1, 1]], "basis"),  # both singular: the first of the pair is named
+    ])
+    def test_singular_generator_rejected_by_name(self, basis, name):
+        with pytest.raises(SingularMatrixError, match=f"^{name} is singular$"):
+            CommutingContext(MatrixFp(basis, 5), MatrixFp([[2, 4], [1, 2]], 5))
+
+    @pytest.mark.parametrize("d, p", [(4, 251), (8, 7)])
+    def test_generator_of_another_size_or_field_rejected(self, d, p):
+        basis = MatrixFp.random_invertible(RandomSource.deterministic(0), 8, 251)
+        with pytest.raises(ValueError, match="^generator is not a 8x8 matrix over F_251$"):
+            CommutingContext(basis, MatrixFp.identity(d, p))
+
+    def test_generator_cached_in_the_eigenbasis_with_its_inverse(self):
+        rng = RandomSource.deterministic(1)
+        basis, generator = (MatrixFp.random_invertible(rng, 8, 251) for _ in range(2))
+        ctx = CommutingContext(basis, generator)
+        assert ctx.generator is generator
+        assert np.array_equal(ctx._generator, (ctx.basis_inv @ generator @ basis).array)
+        assert np.array_equal(ctx._generator_inv, (ctx.basis_inv @ generator.inv() @ basis).array)
 
     def test_cached_inverse_valid(self):
         rng = RandomSource.deterministic(1)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+        ctx = subgroup(rng, 8)
         assert ctx.basis @ ctx.basis_inv == MatrixFp.identity(8, 251)
 
     def test_wrong_inverse_raises_without_assert(self, monkeypatch):
         # an explicit check, so it still runs under `python -O`
         basis = MatrixFp([[1, 1], [0, 1]], 5)
-        monkeypatch.setattr(MatrixFp, "inv", lambda self: self)
+        monkeypatch.setattr(commuting, "inv_stack", lambda stack, p: np.asarray(stack))
         with pytest.raises(GegError, match="inverse"):
-            CommutingContext(basis)
+            CommutingContext(basis, MatrixFp.identity(2, 5))
 
     def test_conjugate_preserves_det_and_trace(self):
         rng = RandomSource.deterministic(2)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+        ctx = subgroup(rng, 8)
         for _ in range(100):
             spec = DiagonalSpec.random(rng, 8, 251)
             m = ctx.conjugate(spec)
@@ -76,7 +104,7 @@ class TestContext:
     def test_conjugate_power_matches_naive_matpow(self, d):
         # at e = 125 every eigenvalue maps to its quadratic character, +1 or -1
         rng = RandomSource.deterministic(bytes([d]))
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, d, 251))
+        ctx = subgroup(rng, d)
         spec = DiagonalSpec.random(rng, d, 251)
         element = ctx.conjugate(spec)
         for e in (0, 1, 2, 125, 249, 250, 251, 1000):
@@ -88,7 +116,7 @@ class TestContext:
         # a stack of x against a stack of eigenvalue lists, (N, 2, d, d) by
         # (N, 1, d), as the cipher calls it: block i uses the i-th list
         rng = RandomSource.deterministic(bytes([d, 1]))
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, d, 251))
+        ctx = subgroup(rng, d)
         specs = [DiagonalSpec.random(rng, d, 251) for _ in range(3)]
         pair = [MatrixFp.random(rng, d, 251) for _ in range(2)]
         exponents = (rng.nonzero(251), rng.nonzero(251))
@@ -101,20 +129,20 @@ class TestContext:
 
     def test_conjugate_dimension_mismatch(self):
         rng = RandomSource.deterministic(3)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 4, 251))
+        ctx = subgroup(rng, 4)
         with pytest.raises(ValueError):
             ctx.conjugate(DiagonalSpec((1, 2), 251))
 
     def test_random_elements_differ_across_seeds(self):
         basis = MatrixFp.random_invertible(RandomSource.deterministic(4), 8, 251)
-        ctx = CommutingContext(basis)
+        ctx = CommutingContext(basis, MatrixFp.identity(8, 251))
         a = ctx.random_element(RandomSource.deterministic(5))
         b = ctx.random_element(RandomSource.deterministic(6))
         assert a != b
 
     def test_random_element_invertible(self):
         rng = RandomSource.deterministic(7)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+        ctx = subgroup(rng, 8)
         for _ in range(50):
             assert ctx.random_element(rng).det() != 0
 
@@ -122,7 +150,7 @@ class TestContext:
 class TestCommutation:
     def test_same_context_pairs_commute(self):
         rng = RandomSource.deterministic(8)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+        ctx = subgroup(rng, 8)
         for _ in range(200):
             a = ctx.random_element(rng)
             b = ctx.random_element(rng)
@@ -136,7 +164,7 @@ class TestCommutation:
 
     def test_random_outsider_rarely_commutes(self):
         rng = RandomSource.deterministic(10)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+        ctx = subgroup(rng, 8)
         failures = 0
         for _ in range(100):
             a = ctx.random_element(rng)
@@ -147,7 +175,7 @@ class TestCommutation:
 
     def test_products_stay_inside(self):
         rng = RandomSource.deterministic(11)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+        ctx = subgroup(rng, 8)
         a = ctx.random_element(rng)
         b = ctx.random_element(rng)
         ab, c = a @ b, ctx.random_element(rng)
@@ -156,7 +184,7 @@ class TestCommutation:
 
     def test_powers_stay_inside(self):
         rng = RandomSource.deterministic(12)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+        ctx = subgroup(rng, 8)
         a = ctx.random_element(rng)
         b = ctx.random_element(rng)
         for k in (0, 1, 2, 17, 250):
@@ -166,13 +194,13 @@ class TestCommutation:
 class TestMembership:
     def test_accepts_context_elements(self):
         rng = RandomSource.deterministic(13)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 4, 251))
+        ctx = subgroup(rng, 4)
         for _ in range(20):
             assert is_member(ctx, ctx.random_element(rng))
 
     def test_rejects_identity_scaled_outsider(self):
         rng = RandomSource.deterministic(14)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 4, 251))
+        ctx = subgroup(rng, 4)
         outsider = MatrixFp.random_invertible(rng, 4, 251)
         # overwhelmingly unlikely to share the eigenbasis
         assert not is_member(ctx, outsider)
@@ -181,18 +209,18 @@ class TestMembership:
         # the identity is a conjugated diagonal but with repeated eigenvalues;
         # membership checks diagonal-with-nonzero, not distinctness
         rng = RandomSource.deterministic(15)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 4, 251))
+        ctx = subgroup(rng, 4)
         assert is_member(ctx, MatrixFp.identity(4, 251))
 
     def test_rejects_singular_conjugate(self):
         rng = RandomSource.deterministic(16)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 4, 251))
+        ctx = subgroup(rng, 4)
         z = ctx.basis @ MatrixFp(np.diag([0, 1, 2, 3]), 251) @ ctx.basis_inv
         assert not is_member(ctx, z)
 
     def test_rejects_conjugate_with_one_off_diagonal_entry(self):
         rng = RandomSource.deterministic(17)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 4, 251))
+        ctx = subgroup(rng, 4)
         inner = MatrixFp([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 5], [0, 0, 0, 4]], 251)
         assert not is_member(ctx, ctx.basis @ inner @ ctx.basis_inv)
 
@@ -214,17 +242,17 @@ def support_components(g):
     return len({root(a) for a in range(2 * d)})
 
 
-def rebuild(ctx, u, v, generator):
+def rebuild(ctx, u, v):
     """P (outer(u, v) ∘ G~) P^-1 for each weight pair."""
     weights = u[:, :, np.newaxis] * v[:, np.newaxis, :] % ctx.p
-    return ctx._from_eigenbasis(weights * ctx.to_eigenbasis(generator) % ctx.p)
+    return ctx._from_eigenbasis(weights * ctx.to_eigenbasis(ctx.generator) % ctx.p)
 
 
-def honest_stack(ctx, generator, rng, n):
+def honest_stack(ctx, rng, n):
     """n sandwiches J^e1 G J^e2, each with its own element J of the context."""
     exponents = (rng.nonzero(ctx.p), rng.nonzero(ctx.p))
     eigenvalues = [DiagonalSpec.random(rng, ctx.d, ctx.p).values for _ in range(n)]
-    return ctx.sandwich(generator, exponents, eigenvalues)
+    return ctx.sandwich(ctx.generator, exponents, eigenvalues)
 
 
 class TestReader:
@@ -254,28 +282,28 @@ class TestReader:
         rng = RandomSource.deterministic(seed)
         alice, bob = handshake(*setup_shared(rng, d), rng)
         start_session(alice, bob)
-        ctx, generator = bob.context, bob.generator
-        assert (ctx.to_eigenbasis(generator) == 0).any()
+        ctx = bob.context
+        assert (ctx.to_eigenbasis(ctx.generator) == 0).any()
         y1, _ = alice.encrypt_blocks(np.zeros((20, d, d), np.int64), rng)
-        u, v = ctx.read_weights(y1, generator)
+        u, v = ctx.read_weights(y1)
         assert u.shape == v.shape == (20, d)
         assert (u[:, 0] == 1).all() and (u != 0).all() and (v != 0).all()
-        assert np.array_equal(rebuild(ctx, u, v, generator), y1)
+        assert np.array_equal(rebuild(ctx, u, v), y1)
 
     def test_one_free_scale_per_component(self):
         # G~ of two blocks, rows and columns 0-3 and 4-7: rows 0 and 4 read 1
         rng = RandomSource.deterministic(30)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
+        frame = subgroup(rng, 8)  # G is built in the eigenbasis of its basis
         inner = np.zeros((8, 8), np.int64)
         inner[:4, :4] = MatrixFp.random_invertible(rng, 4, 251).array
         inner[4:, 4:] = MatrixFp.random_invertible(rng, 4, 251).array
         inner[1, 2] = inner[6, 5] = 0
-        generator = MatrixFp(ctx._from_eigenbasis(inner), 251)
-        assert support_components(ctx.to_eigenbasis(generator).tolist()) == 2
-        stack = honest_stack(ctx, generator, rng, 10)
-        u, v = ctx.read_weights(stack, generator)
+        ctx = CommutingContext(frame.basis, MatrixFp(frame._from_eigenbasis(inner), 251))
+        assert support_components(ctx.to_eigenbasis(ctx.generator).tolist()) == 2
+        stack = honest_stack(ctx, rng, 10)
+        u, v = ctx.read_weights(stack)
         assert (u[:, [0, 4]] == 1).all()
-        assert np.array_equal(rebuild(ctx, u, v, generator), stack)
+        assert np.array_equal(rebuild(ctx, u, v), stack)
         assert u[:, 1:4].any() and u[:, 5:].any()
 
     @pytest.mark.parametrize("bad, edit, why", [
@@ -287,10 +315,9 @@ class TestReader:
     ])
     def test_names_the_bad_member(self, bad, edit, why):
         rng = RandomSource.deterministic(31)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
-        generator = MatrixFp.random_invertible(rng, 8, 251)
-        stack = honest_stack(ctx, generator, rng, 10)
-        ctx.read_weights(stack, generator)
+        ctx = CommutingContext(*(MatrixFp.random_invertible(rng, 8, 251) for _ in range(2)))
+        stack = honest_stack(ctx, rng, 10)
+        ctx.read_weights(stack)
         if edit == "random":
             stack[bad] = MatrixFp.random_invertible(rng, 8, 251).array
         elif edit == "zero":
@@ -298,14 +325,13 @@ class TestReader:
         else:
             stack[bad, 2, 5] = (stack[bad, 2, 5] + 1) % 251
         with pytest.raises(ProtocolError, match=f"^matrix {bad} of the stack {why}$"):
-            ctx.read_weights(stack, generator)
+            ctx.read_weights(stack)
 
     def test_names_the_lowest_bad_member(self):
         rng = RandomSource.deterministic(32)
-        ctx = CommutingContext(MatrixFp.random_invertible(rng, 8, 251))
-        generator = MatrixFp.random_invertible(rng, 8, 251)
-        stack = honest_stack(ctx, generator, rng, 10)
+        ctx = CommutingContext(*(MatrixFp.random_invertible(rng, 8, 251) for _ in range(2)))
+        stack = honest_stack(ctx, rng, 10)
         stack[7] = MatrixFp.random_invertible(rng, 8, 251).array
         stack[4] = 0
         with pytest.raises(ProtocolError, match="^matrix 4 of the stack is singular$"):
-            ctx.read_weights(stack, generator)
+            ctx.read_weights(stack)

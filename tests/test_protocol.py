@@ -3,7 +3,7 @@ import pytest
 
 from geg import protocol
 from geg.commuting import DiagonalSpec
-from geg.errors import ProtocolError
+from geg.errors import ProtocolError, SingularMatrixError
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
 from geg.protocol import (
@@ -14,6 +14,16 @@ from geg.protocol import (
     setup_shared,
     start_session,
 )
+
+
+def record_eliminations(monkeypatch):
+    """The list that each later Gauss-Jordan elimination appends its stack's shape to."""
+    from geg import linalg
+
+    shapes, eliminate = [], linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda aug, p: shapes.append(aug.shape) or eliminate(aug, p))
+    return shapes
 
 
 def make_pair(seed, d=8, p=251):
@@ -79,19 +89,28 @@ class TestKeygen:
             entity.keygen(rng)
         assert (entity.eigenvalues, entity.initial_exponents, entity.phase) == before
 
-    @pytest.mark.parametrize("generator, message", [
-        (MatrixFp([[1] * 8] * 8, 251), "generator is singular"),
-        (MatrixFp.identity(4, 251), "generator is not a 8x8 matrix over F_251"),
+    @pytest.mark.parametrize("generator, error, message", [
+        (MatrixFp([[1] * 8] * 8, 251), SingularMatrixError, "generator is singular"),
+        (MatrixFp.identity(4, 251), ValueError, "generator is not a 8x8 matrix over F_251"),
     ])
-    def test_bad_generator_rejected_at_keygen(self, generator, message):
+    def test_bad_generator_rejected_at_construction(self, generator, error, message):
+        # the context checks the public pair together, before any keygen
         rng = RandomSource.deterministic(8)
-        entity = Entity("initiator", setup_shared(rng, 8)[0], generator)
-        with pytest.raises(ProtocolError, match=message):
-            entity.keygen(rng)
-        assert entity.phase is Phase.FRESH and entity.eigenvalues is None
+        with pytest.raises(error, match=f"^{message}$"):
+            Entity("initiator", setup_shared(rng, 8)[0], generator)
 
 
 class TestKeyAgreement:
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_handshake_inverts_one_pair_per_side(self, monkeypatch, d):
+        # each side's context inverts the basis and the generator together;
+        # keygen takes no determinant and each setup token is read against it
+        rng = RandomSource.deterministic(32)
+        pair = setup_shared(rng, d)
+        shapes = record_eliminations(monkeypatch)
+        handshake(*pair, rng)
+        assert shapes == [(2, d, 2 * d)] * 2
+
     def test_bilateral_key_equality(self):
         for seed in range(30):
             alice, bob, _ = make_pair(seed)
@@ -347,16 +366,12 @@ class TestSessions:
 
     @pytest.mark.parametrize("d", [8, 16])
     def test_start_session_inverts_two_bases_and_nothing_else(self, monkeypatch, d):
-        # each side builds one context for the next basis; the two tokens
-        # are read against it, with no determinant
-        from geg import linalg
-
+        # each side builds one context for the next basis and generator, in
+        # one elimination; the two tokens are read against it, with no determinant
         alice, bob, _ = make_pair(31, d)
-        shapes, eliminate = [], linalg._eliminate
-        monkeypatch.setattr(linalg, "_eliminate",
-                            lambda aug, p: shapes.append(aug.shape) or eliminate(aug, p))
+        shapes = record_eliminations(monkeypatch)
         start_session(alice, bob)
-        assert shapes == [(1, d, 2 * d)] * 2
+        assert shapes == [(2, d, 2 * d)] * 2
 
     @pytest.mark.parametrize("step", ["open", "ack"])
     def test_failed_update_moves_nothing(self, monkeypatch, step):
@@ -367,7 +382,7 @@ class TestSessions:
         entity = alice if step == "open" else bob
         before = (entity.shared_parameters(), entity.phase, entity.peer_token)
 
-        def refuse(basis):
+        def refuse(basis, generator):
             raise MemoryError("no room for the next basis")
 
         monkeypatch.setattr(protocol, "CommutingContext", refuse)
@@ -575,7 +590,7 @@ class TestRestore:
         alice, bob, _ = make_pair(27)
         start_session(alice, bob)
         singular = MatrixFp([[1] * 8] * 8, 251)
-        with pytest.raises(ProtocolError, match="generator is singular"):
+        with pytest.raises(SingularMatrixError, match="^generator is singular$"):
             Entity.restore(bob.role, bob.basis, singular, bob.session_key, bob.eigenvalues,
                            bob.peer_token)
 

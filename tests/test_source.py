@@ -58,6 +58,19 @@ def test_exponent_pair_never_stored():
     assert found == []
 
 
+def test_generator_stored_only_by_its_context():
+    # the generator is half of a session's public pair (P, G); a copy kept
+    # beside the context can fall out of step with the basis
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "commuting.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "generator"
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+    ]
+    assert found == []
+
+
 def test_eigenbasis_stays_in_commuting():
     # the subgroup's representation P diag(λ) P^-1 has one owner: the protocol
     # reaches it through CommutingContext.sandwich
