@@ -5,10 +5,9 @@ conjugating diagonal matrices by one fixed invertible basis matrix yields a
 commutative subgroup whose members are indistinguishable from generic group
 elements.  Every element built from the same context commutes with every
 other one; that property is what makes the key agreement close.  The
-protocol reaches the subgroup only through a context: `sandwich` applies
-powers of its elements, and `read_weights` and `unmask` read them back off a
-received matrix.  The membership test belongs to the decomposition oracle in
-the test tree.
+protocol reaches the subgroup only through a context: it builds every
+matrix by `compose`, and `read_weights` and `unmask` read a received one.
+The membership test belongs to the decomposition oracle in the test tree.
 """
 
 from __future__ import annotations
@@ -87,36 +86,35 @@ class CommutingContext:
 
     def conjugate(self, spec: DiagonalSpec) -> MatrixFp:
         """basis @ diag(spec) @ basis**-1: the subgroup element with
-        eigenvalues `spec`.  Powers act on the eigenvalues alone; `sandwich`
+        eigenvalues `spec`.  Powers act on the eigenvalues alone; `compose`
         applies them without building the element."""
         if spec.d != self.d or spec.p != self.p:
             raise ValueError("diagonal spec does not match context parameters")
         return MatrixFp(self._from_eigenbasis(np.diag(spec.values)), self.p)
 
-    def sandwich(self, x, exponents: tuple[int, int], eigenvalues) -> np.ndarray:
-        """Z^e1 x Z^e2 as int64 residues, for a matrix or an (..., d, d) stack x
-        and each eigenvalue list λ on the last axis of `eigenvalues`, where
-        Z = P diag(λ) P^-1 for this context's basis P and (e1, e2) = exponents.
-
-        Z^e1 x Z^e2 = P (outer(λ^e1, λ^e2) ∘ x~) P^-1 with x~ = P^-1 x P, so a
-        sandwich costs no matrix power.  Leading axes broadcast.
-        """
+    def compose(self, *pairs) -> np.ndarray:
+        """P (outer(u, v) ∘ G~) P^-1 as int64 residues, the inverse of
+        `read_weights`, for (u, v) the entrywise product of the weight pairs
+        `pairs` (d residues on the last axis; leading axes broadcast).  So
+        Z^e1 T Z^e2 is compose(weights((e1, e2), λ), (u, v)) for T read as
+        (u, v), and compose(weights((e1, e2), λ)) for T = G: no power is taken."""
         p = self.p
-        left, right = self.weights(exponents, eigenvalues)
-        weights = left[..., :, np.newaxis] * right[..., np.newaxis, :] % p
-        return self._from_eigenbasis(weights * self.to_eigenbasis(x) % p)
+        u, v = pairs[0]
+        for left, right in pairs[1:]:
+            u, v = u * left % p, v * right % p
+        outer = u[..., :, np.newaxis] * v[..., np.newaxis, :] % p
+        return self._from_eigenbasis(outer * self._generator % p)
 
     def weights(self, exponents: tuple[int, int], eigenvalues) -> tuple[np.ndarray, np.ndarray]:
         """(λ^e1, λ^e2) for each eigenvalue list λ on the last axis of
-        `eigenvalues`: a sandwich multiplies x~ entrywise by their outer product."""
+        `eigenvalues`: the weight pair of Z^e1 G Z^e2 for Z = P diag(λ) P^-1."""
         eigenvalues = np.asarray(eigenvalues)
-        left, right = (power_table(e, self.p)[eigenvalues] for e in exponents)
-        return left, right
+        return tuple(power_table(e, self.p)[eigenvalues] for e in exponents)
 
     def read_weights(self, stack) -> tuple[np.ndarray, np.ndarray]:
-        """The inverse of `sandwich` on the generator G: two (N, d) arrays
-        (u, v) of nonzero residues with P^-1 stack[k] P = outer(u[k], v[k]) ∘ G~
-        for an (N, d, d) stack, where G~ = P^-1 G P.  Each connected component
+        """The inverse of `compose`: two (N, d) arrays (u, v) of nonzero
+        residues with P^-1 stack[k] P = outer(u[k], v[k]) ∘ G~ for an
+        (N, d, d) stack, where G~ = P^-1 G P.  Each connected component
         of G~'s support fixes its part of (u, v) up to one scale, and the first
         row of each component reads 1.  Raises MalformedMatrixError for the
         lowest matrix of the stack that is no such sandwich."""

@@ -20,8 +20,10 @@ from its peer, both setup tokens, both session tokens and every y1, is a
 sandwich Z^a G Z^b of the current generator, and is refused unless it is
 one for the current basis and generator: a ciphertext from another session,
 a stale acknowledgement and an open token from a peer a session ahead all
-raise ProtocolError.  That is a consistency check, not authentication:
-anyone can build a token that passes from public values.  A tampered y2
+raise ProtocolError.  The check reads a matrix's weight pair, and each
+matrix an entity builds is `CommutingContext.compose` of weight pairs.  The
+check is for consistency, not authentication: anyone can build a token that
+passes from public values.  A tampered y2
 still decrypts silently to wrong plaintext.
 """
 
@@ -117,8 +119,9 @@ def start_session(opener: Entity, acker: Entity) -> tuple[MatrixFp, MatrixFp]:
 
 class Entity:
     """One party's protocol state; single-owner, mutated by the steps below.
-    The exponent pair is read off the session key, and the public pair
-    (basis, generator) off the context that checks it; neither is stored."""
+    The exponent pair is read off the session key, the public pair (basis,
+    generator) off the context that checks it, and the peer token off the
+    weights its check read; none of the three is stored as such."""
 
     def __init__(self, role: str, basis: MatrixFp, generator: MatrixFp):
         if role not in ("initiator", "responder"):
@@ -126,7 +129,7 @@ class Entity:
         self.role = role
         self.context = CommutingContext(basis, generator)
         self.session_key: MatrixFp | None = None
-        self.peer_token: MatrixFp | None = None
+        self._peer_weights: tuple[np.ndarray, np.ndarray] | None = None
         self.phase = Phase.FRESH
         self._eigenvalues: DiagonalSpec | None = None
         self._initial_exponents: tuple[int, int] | None = None
@@ -148,6 +151,12 @@ class Entity:
     @property
     def generator(self) -> MatrixFp:
         return self.context.generator
+
+    @property
+    def peer_token(self) -> MatrixFp | None:
+        """The peer's setup or session token, rebuilt from the weights its check read."""
+        weights = self._peer_weights
+        return None if weights is None else MatrixFp(self.context.compose(weights), self.p)
 
     @property
     def exponents(self) -> tuple[int, int] | None:
@@ -179,22 +188,19 @@ class Entity:
             # a second draw would strand a peer already holding the first token
             raise ProtocolError("keygen runs once, on a fresh entity")
         # exponents from [1, p-1]: zero would degrade the token to the bare generator
-        k1 = rng.nonzero(self.p)
-        k2 = rng.nonzero(self.p)
-        self._initial_exponents = (k1, k2)
+        self._initial_exponents = (rng.nonzero(self.p), rng.nonzero(self.p))
         self._eigenvalues = DiagonalSpec.random(rng, self.d, self.p)
-        token = self.context.sandwich(self.generator, (k1, k2), self._eigenvalues.values)
-        return MatrixFp(token, self.p)
+        own = self.context.weights(self._initial_exponents, self._eigenvalues.values)
+        return MatrixFp(self.context.compose(own), self.p)
 
     def derive_session_key(self, peer_token: MatrixFp) -> None:
         """Combine the peer's setup token into the first common key."""
         if self.phase is not Phase.FRESH or self._initial_exponents is None:
             raise ProtocolError("derive_session_key requires keygen on a fresh entity")
-        self._check_token(peer_token, self.context)
-        key = self.context.sandwich(peer_token, self._initial_exponents, self._eigenvalues.values)
-        self.session_key = MatrixFp(key, self.p)
-        self.peer_token = peer_token
-        self.phase = Phase.KEYED
+        peer_weights = self._check_token(peer_token, self.context)
+        own = self.context.weights(self._initial_exponents, self._eigenvalues.values)
+        self.session_key = MatrixFp(self.context.compose(own, peer_weights), self.p)
+        self._peer_weights, self.phase = peer_weights, Phase.KEYED
 
     # -- recursive session updates --------------------------------------------
 
@@ -203,15 +209,13 @@ class Entity:
         session_step's public values, the context and the token are computed
         first, then committed together, so a failure partway changes nothing.
         `peer_token` is the acker's received token, checked against the next
-        session's basis and generator; the opener's is None until the answer
-        arrives."""
+        session's context; the opener's is None until the answer arrives."""
         key, pair, basis, generator = session_step(self.session_key, self.basis, self.generator)
         context = CommutingContext(basis, generator)
-        if peer_token is not None:
-            self._check_token(peer_token, context)
-        token = MatrixFp(context.sandwich(generator, pair, self._eigenvalues.values), self.p)
+        peer_weights = None if peer_token is None else self._check_token(peer_token, context)
+        token = MatrixFp(context.compose(context.weights(pair, self._eigenvalues.values)), self.p)
         self.session_key, self.context = key, context
-        self.peer_token, self.phase = peer_token, Phase.SESSION_OPEN
+        self._peer_weights, self.phase = peer_weights, Phase.SESSION_OPEN
         return token
 
     def open_session(self) -> MatrixFp:
@@ -234,20 +238,20 @@ class Entity:
         """Store the peer's current session token (needed to encrypt)."""
         if self.phase is not Phase.SESSION_OPEN:  # a keyed entity keeps its setup token
             raise ProtocolError("install_peer_token requires an open session")
-        self._check_token(token, self.context)
-        self.peer_token = token
+        self._peer_weights = self._check_token(token, self.context)
 
-    def _check_token(self, token: MatrixFp, context: CommutingContext) -> None:
-        """Refuse a peer token that is no sandwich Z^a G Z^b of the generator
-        G of `context` by an element Z of it, the form of every honest token.
-        Such a token is invertible, since det T = det G * prod(u) * prod(v)
-        for its nonzero weights (u, v), so no determinant is taken."""
+    def _check_token(self, token: MatrixFp, context: CommutingContext) -> tuple[np.ndarray, np.ndarray]:
+        """The (d,) weights (u, v) that `context.compose` rebuilds a peer token
+        T from, or ProtocolError for a T that is no sandwich Z^a G Z^b by an
+        element Z of `context`, the form of every honest token.  Such a T is
+        invertible, det T = det G * prod(u) * prod(v), so no det is taken."""
         self._check_shape("peer_token", token)
         try:
-            context.read_weights(token.array[np.newaxis])
+            u, v = context.read_weights(token.array[np.newaxis])
         except MalformedMatrixError as exc:
             why = "is singular" if exc.singular else "does not match this session's generator"
             raise ProtocolError(f"peer_token {why}") from exc
+        return u[0], v[0]
 
     def _check_shape(self, name: str, m: MatrixFp) -> None:
         if m.d != self.d or m.p != self.p:
@@ -267,17 +271,16 @@ class Entity:
         """
         if self.phase is not Phase.SESSION_OPEN:
             raise ProtocolError("encrypt requires an open session")
-        if self.peer_token is None:
+        if self._peer_weights is None:
             raise ProtocolError("no session token from peer")
         plains = self._check_blocks("plaintext", plains)
         ephemeral = np.array(
             [rng.distinct_nonzero(self.d, self.p) for _ in range(len(plains))], dtype=np.int64
-        ).reshape(-1, 1, self.d)
-        # J^m X J^n for X in (G, B'), B' the peer's session token, for every
-        # block at once: y1 = J^m G J^n and y2 = H (J^m B' J^n)
-        public = np.stack([self.generator.array, self.peer_token.array])
-        sandwiches = self.context.sandwich(public, self.exponents, ephemeral)
-        y1, mask = sandwiches[:, 0], sandwiches[:, 1]
+        ).reshape(-1, self.d)
+        # y1 = J^m G J^n and y2 = H (J^m B' J^n), B' the peer's session token
+        ephemeral_weights = self.context.weights(self.exponents, ephemeral)
+        y1 = self.context.compose(ephemeral_weights)
+        mask = self.context.compose(ephemeral_weights, self._peer_weights)
         y2 = product_mod([plains, mask], self.p)
         return y1.astype(np.uint8), y2.astype(np.uint8)
 
@@ -290,9 +293,8 @@ class Entity:
         y1, y2 = self._check_blocks("y1", y1), self._check_blocks("y2", y2)
         if y2.shape != y1.shape:
             raise ValueError("y1 and y2 hold different numbers of blocks")
-        # y2 (B^m y1 B^n)^-1, B this entity's private element: the mask
-        # B^m y1 B^n is read entrywise off y1 and the weights of this
-        # entity's session token B^m G B^n, so no block is inverted
+        # y2 (B^m y1 B^n)^-1, B this entity's private element: the mask is read
+        # entrywise off y1 and the weights of its token B^m G B^n, inverting no block
         token_weights = self.context.weights(self.exponents, self._eigenvalues.values)
         try:
             plains = self.context.unmask(y1, y2, token_weights)
@@ -346,10 +348,10 @@ class Entity:
         entity._check_shape("session_key", session_key)
         if session_key.det() == 0:
             raise ProtocolError("session_key is singular")
-        entity._check_token(peer_token, entity.context)
+        peer_weights = entity._check_token(peer_token, entity.context)
         if eigenvalues.d != entity.d or eigenvalues.p != entity.p:
             raise ProtocolError(f"eigenvalues are not {entity.d} residues mod {entity.p}")
-        entity.session_key, entity.peer_token = session_key, peer_token
+        entity.session_key, entity._peer_weights = session_key, peer_weights
         entity._eigenvalues, entity.phase = eigenvalues, Phase.SESSION_OPEN
         return entity
 

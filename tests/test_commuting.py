@@ -11,7 +11,7 @@ from geg.linalg import MatrixFp
 from geg.protocol import handshake, setup_shared, start_session
 
 from gsdp import is_member
-from oracles import all_square_matrices, naive_matpow
+from oracles import all_square_matrices, naive_matmul, naive_matpow
 
 
 def subgroup(rng, d, p=251):
@@ -112,20 +112,28 @@ class TestContext:
         assert {pow(v, 125, 251) for v in spec.values} == {1, 250}
 
     @pytest.mark.parametrize("d", [8, 16])
-    def test_sandwich_matches_matrix_powers(self, d):
-        # a stack of x against a stack of eigenvalue lists, (N, 2, d, d) by
-        # (N, 1, d), as the cipher calls it: block i uses the i-th list
+    def test_compose_matches_matrix_powers(self, d):
+        # as the cipher calls it: a token B' = B^r1 G B^r2, then a stack of
+        # eigenvalue lists, block i using the i-th, for y1 = J^m G J^n and
+        # the mask J^m B' J^n from B''s read weights
         rng = RandomSource.deterministic(bytes([d, 1]))
-        ctx = subgroup(rng, d)
-        specs = [DiagonalSpec.random(rng, d, 251) for _ in range(3)]
-        pair = [MatrixFp.random(rng, d, 251) for _ in range(2)]
-        exponents = (rng.nonzero(251), rng.nonzero(251))
-        out = ctx.sandwich(np.stack(pair), exponents, [[s.values] for s in specs])
-        assert out.shape == (3, 2, d, d)
-        for spec, block in zip(specs, out):
+        ctx = CommutingContext(*(MatrixFp.random_invertible(rng, d, 251) for _ in range(2)))
+        peer, specs = DiagonalSpec.random(rng, d, 251), [DiagonalSpec.random(rng, d, 251) for _ in range(3)]
+        (r1, r2), (m, n) = (3, 2), (2, 4)  # small: the oracle multiplies e times
+
+        def sandwich(z, x, e1, e2):
+            z = z.tolist()
+            return naive_matmul(naive_matmul(naive_matpow(z, e1, 251), x, 251), naive_matpow(z, e2, 251), 251)
+
+        token = ctx.compose(ctx.weights((r1, r2), peer.values))
+        assert token.tolist() == sandwich(ctx.conjugate(peer), ctx.generator.tolist(), r1, r2)
+        ephemeral = ctx.weights((m, n), [s.values for s in specs])
+        y1, mask = ctx.compose(ephemeral), ctx.compose(ephemeral, ctx.read_weights(token[np.newaxis]))
+        assert y1.shape == mask.shape == (3, d, d)
+        for spec, got_y1, got_mask in zip(specs, y1, mask):
             z = ctx.conjugate(spec)
-            for x, got in zip(pair, block):
-                assert got.tolist() == (z.pow(exponents[0]) @ x @ z.pow(exponents[1])).tolist()
+            assert got_y1.tolist() == sandwich(z, ctx.generator.tolist(), m, n)
+            assert got_mask.tolist() == sandwich(z, token.tolist(), m, n)
 
     def test_conjugate_dimension_mismatch(self):
         rng = RandomSource.deterministic(3)
@@ -242,17 +250,11 @@ def support_components(g):
     return len({root(a) for a in range(2 * d)})
 
 
-def rebuild(ctx, u, v):
-    """P (outer(u, v) ∘ G~) P^-1 for each weight pair."""
-    weights = u[:, :, np.newaxis] * v[:, np.newaxis, :] % ctx.p
-    return ctx._from_eigenbasis(weights * ctx.to_eigenbasis(ctx.generator) % ctx.p)
-
-
 def honest_stack(ctx, rng, n):
     """n sandwiches J^e1 G J^e2, each with its own element J of the context."""
     exponents = (rng.nonzero(ctx.p), rng.nonzero(ctx.p))
     eigenvalues = [DiagonalSpec.random(rng, ctx.d, ctx.p).values for _ in range(n)]
-    return ctx.sandwich(ctx.generator, exponents, eigenvalues)
+    return ctx.compose(ctx.weights(exponents, eigenvalues))
 
 
 class TestReader:
@@ -278,7 +280,8 @@ class TestReader:
 
     @pytest.mark.parametrize("d, seed", [(8, 4), (8, 25), (8, 28), (16, 1), (16, 23), (16, 35)])
     def test_reads_honest_y1_where_the_generator_has_zeros(self, d, seed):
-        # the session's G~ = P^-1 G P has a zero entry on these seeds
+        # the session's G~ = P^-1 G P has a zero entry on these seeds, and
+        # compose rebuilds each y1 from the weights read off it
         rng = RandomSource.deterministic(seed)
         alice, bob = handshake(*setup_shared(rng, d), rng)
         start_session(alice, bob)
@@ -288,7 +291,7 @@ class TestReader:
         u, v = ctx.read_weights(y1)
         assert u.shape == v.shape == (20, d)
         assert (u[:, 0] == 1).all() and (u != 0).all() and (v != 0).all()
-        assert np.array_equal(rebuild(ctx, u, v), y1)
+        assert np.array_equal(ctx.compose((u, v)), y1)
 
     def test_one_free_scale_per_component(self):
         # G~ of two blocks, rows and columns 0-3 and 4-7: rows 0 and 4 read 1
@@ -303,7 +306,7 @@ class TestReader:
         stack = honest_stack(ctx, rng, 10)
         u, v = ctx.read_weights(stack)
         assert (u[:, [0, 4]] == 1).all()
-        assert np.array_equal(rebuild(ctx, u, v), stack)
+        assert np.array_equal(ctx.compose((u, v)), stack)
         assert u[:, 1:4].any() and u[:, 5:].any()
 
     @pytest.mark.parametrize("bad, edit, why", [

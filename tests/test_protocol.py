@@ -351,7 +351,7 @@ class TestSessions:
             _, current = start_session(alice, bob)
             with pytest.raises(ProtocolError, match="^peer_token does not match this session's generator$"):
                 alice.install_peer_token(stale)
-            assert alice.peer_token is current
+            assert alice.peer_token == current
 
     @pytest.mark.parametrize("d, seed", [(8, 4), (8, 25), (8, 28), (16, 1), (16, 23), (16, 35)])
     def test_honest_tokens_pass_where_the_generator_has_zeros(self, d, seed):
@@ -361,7 +361,9 @@ class TestSessions:
         start_session(alice, bob)
         assert (bob.context.to_eigenbasis(bob.generator) == 0).any()
         for _ in range(2):
-            start_session(alice, bob)
+            open_token, ack_token = start_session(alice, bob)
+            # each side keeps the token as the weights its check read: rebuilt, it is exact
+            assert (bob.peer_token, alice.peer_token) == (open_token, ack_token)
         assert alice.shared_parameters() == bob.shared_parameters()
 
     @pytest.mark.parametrize("d", [8, 16])
@@ -468,8 +470,10 @@ class TestCipher:
         start_session(alice, bob)
         y1, _ = alice.encrypt_blocks(np.zeros((6, d, d), np.int64), rng)
         y2 = np.array([MatrixFp.random(rng, d, 251).array for _ in range(6)])
-        masks = bob.context.sandwich(y1, bob.exponents, bob.eigenvalues.values)
-        want = [(MatrixFp(h, 251) @ MatrixFp(m, 251).inv()).array for h, m in zip(y2, masks)]
+        b = bob.context.conjugate(bob.eigenvalues)
+        b_m, b_n = (b.pow(e) for e in bob.exponents)
+        masks = [b_m @ MatrixFp(y, 251) @ b_n for y in y1]
+        want = [(MatrixFp(h, 251) @ mask.inv()).array for h, mask in zip(y2, masks)]
         assert np.array_equal(bob.decrypt_blocks(y1, y2), want)
 
     def test_encrypt_requires_open_session(self):

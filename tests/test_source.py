@@ -73,7 +73,7 @@ def test_generator_stored_only_by_its_context():
 
 def test_eigenbasis_stays_in_commuting():
     # the subgroup's representation P diag(λ) P^-1 has one owner: the protocol
-    # reaches it through CommutingContext.sandwich
+    # reaches it through CommutingContext.compose, weights and read_weights
     change = {"to_eigenbasis", "from_eigenbasis", "_from_eigenbasis"}
     found = [
         f"{path.name}:{node.lineno}"
@@ -87,6 +87,19 @@ def test_eigenbasis_stays_in_commuting():
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         and any(alias.name == "power_table" for alias in node.names)
+    ]
+    assert found == []
+
+
+def test_peer_token_never_stored():
+    # the peer token is kept as the weight pair its check read, and rebuilt
+    # from it; a stored matrix beside the pair can fall out of step with it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "peer_token"
+        and isinstance(node.ctx, (ast.Store, ast.Del))
     ]
     assert found == []
 
@@ -119,6 +132,16 @@ def test_session_update_rule_has_one_home():
               for path in sorted(SRC.glob("*.py")) if path.name != "protocol.py"
               for scope, name in _calls_by_scope(path) if name == "extract_exponents"]
     assert found == []
+
+
+def test_one_basis_change_per_public_matrix():
+    # a public matrix enters the eigenbasis when a context is built (G and
+    # G^-1) or when a received matrix is read; compose builds from the
+    # cached G~, so nothing else moves a matrix in
+    scopes = {f"{path.name} {scope}"
+              for path in sorted(SRC.glob("*.py"))
+              for scope, name in _calls_by_scope(path) if name == "to_eigenbasis"}
+    assert scopes == {"commuting.py CommutingContext.__init__", "commuting.py CommutingContext.read_weights"}
 
 
 def _definitions(tree):
