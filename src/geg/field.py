@@ -145,15 +145,15 @@ class RandomSource:
         """
         if p > DEFAULT_PRIME:
             raise ValueError("array_mod supports byte-sized moduli only")
+        if count < 0:
+            raise ValueError(f"array_mod count must be non-negative, got {count}")
         limit = 256 - 256 % p
-        parts: list[np.ndarray] = []
+        parts: list[np.ndarray] = [np.empty(0, dtype=np.uint8)]
         have = 0
         while have < count:
             need = count - have
             draw = need + (need >> 4) + 16
             buf = np.frombuffer(self._getrandbits(8 * draw).to_bytes(draw, "big"), dtype=np.uint8)
-            kept = buf[buf < limit]
-            parts.append(kept)
-            have += kept.size
-        vals = np.concatenate(parts)[:count].astype(np.int64)
-        return vals % p
+            parts.append(buf[buf < limit])
+            have += parts[-1].size
+        return np.concatenate(parts)[:count].astype(np.int64) % p

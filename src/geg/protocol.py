@@ -76,14 +76,14 @@ def next_key(key: MatrixFp) -> MatrixFp:
 
 
 def session_step(
-    key: MatrixFp, basis: MatrixFp, generator: MatrixFp
-) -> tuple[MatrixFp, tuple[int, int], MatrixFp, MatrixFp]:
-    """The next shared_parameters() from public values alone: K' = next_key(K),
-    (m2, n2) read off K', and K'**m2 X K'**n2 for X = basis, generator."""
+    key: MatrixFp, context: CommutingContext
+) -> tuple[MatrixFp, tuple[int, int], CommutingContext]:
+    """The next session from public values alone: K' = next_key(K), (m2, n2)
+    read off K', and the context of K'**m2 X K'**n2 for X = basis, generator."""
     key = next_key(key)
     m2, n2 = extract_exponents(key)
     k_m, k_n = key.pow(m2), key.pow(n2)
-    return key, (m2, n2), k_m @ basis @ k_n, k_m @ generator @ k_n
+    return key, (m2, n2), CommutingContext(k_m @ context.basis @ k_n, k_m @ context.generator @ k_n)
 
 
 def setup_shared(
@@ -206,12 +206,11 @@ class Entity:
 
     def _refresh_session(self, peer_token: MatrixFp | None) -> MatrixFp:
         """Move to the next session and return this side's token for it.
-        session_step's public values, the context and the token are computed
-        first, then committed together, so a failure partway changes nothing.
+        session_step's key and context and the token are computed first,
+        then committed together, so a failure partway changes nothing.
         `peer_token` is the acker's received token, checked against the next
         session's context; the opener's is None until the answer arrives."""
-        key, pair, basis, generator = session_step(self.session_key, self.basis, self.generator)
-        context = CommutingContext(basis, generator)
+        key, pair, context = session_step(self.session_key, self.context)
         peer_weights = None if peer_token is None else self._check_token(peer_token, context)
         token = MatrixFp(context.compose(context.weights(pair, self._eigenvalues.values)), self.p)
         self.session_key, self.context = key, context

@@ -122,6 +122,14 @@ class TestRandomSource:
         assert vals.min() >= 0 and vals.max() < 251
         assert 0 <= rng.nonzero(251) - 1 < 250
 
+    def test_array_mod_of_no_values_draws_nothing(self):
+        rng, fresh = RandomSource.deterministic(b"empty"), RandomSource.deterministic(b"empty")
+        empty = rng.array_mod(0)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+        assert rng.array_mod(5).tolist() == fresh.array_mod(5).tolist()
+        with pytest.raises(ValueError, match="-3"):
+            rng.array_mod(-3)
+
     def test_crypto_array_mod_keeps_os_bytes_below_p_in_order(self, monkeypatch):
         # a leading run of rejected bytes forces a second draw from the OS
         stream = b"\xff" * 64 + bytes(range(256)) * 16

@@ -274,8 +274,8 @@ class TestSessions:
         # 16's key freezes from the eighth session on: a fixed point of next_key
         alice, bob, _ = make_pair(16, d)
         for session in range(25):
-            key, _, basis, generator = alice.shared_parameters()
-            expected = protocol.session_step(key, basis, generator)
+            key, pair, context = protocol.session_step(alice.session_key, alice.context)
+            expected = (key, pair, context.basis, context.generator)
             start_session(*((alice, bob) if session % 2 else (bob, alice)))
             assert alice.shared_parameters() == expected == bob.shared_parameters()
             if d == 8 and session >= 7:

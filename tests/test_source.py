@@ -134,6 +134,15 @@ def test_session_update_rule_has_one_home():
     assert found == []
 
 
+def test_contexts_built_only_at_set_up_and_session_step():
+    # a session's public pair becomes a context in Entity.__init__ (set-up
+    # and restore) or in session_step (each update); a caller that builds
+    # one from loose matrices repeats the update rule's public half
+    scopes = {scope for scope, name in _calls_by_scope(SRC / "protocol.py")
+              if name == "CommutingContext"}
+    assert scopes == {"Entity.__init__", "session_step"}
+
+
 def test_one_basis_change_per_public_matrix():
     # a public matrix enters the eigenbasis when a context is built (G and
     # G^-1) or when a received matrix is read; compose builds from the

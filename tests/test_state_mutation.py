@@ -1,5 +1,5 @@
 """Generated mutations of a responder state file or of a cipher stream, fed
-to `geg decrypt`.
+to `geg decrypt`, and of an initiator state file, fed to `geg encrypt`.
 
 Every mutation either leaves a state and stream that still decrypt exactly,
 or is refused with a data exit code (3 i/o, 4 codec, 5 protocol), one
@@ -65,6 +65,46 @@ def test_mutated_state_decrypts_exactly_or_fails_cleanly(tmp_path, capsys):
 
     decrypt_with()
     # the checks behind each outcome ran: an unread byte, the codec, the pair
+    assert {cli.EXIT_OK, cli.EXIT_CODEC, cli.EXIT_PROTOCOL} <= set(codes)
+
+
+def test_mutated_initiator_encrypts_exactly_or_fails_cleanly(tmp_path, capsys):
+    encrypted(tmp_path)
+    original = (tmp_path / "kx.initiator").read_bytes()
+    state, src = tmp_path / "mutated.initiator", tmp_path / "p.bin"
+    enc, dst = tmp_path / "m.geg", tmp_path / "o.bin"
+    codes = []
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(splices(len(original)))
+    def encrypt_with(splice):
+        at, cut, new = splice
+        state.write_bytes(original[:at] + new + original[at + cut:])
+        capsys.readouterr()
+        code = cli.main(["encrypt", "--state", str(state), "--in", str(src), "--out", str(enc),
+                         "--seed", "01"])
+        err = capsys.readouterr().err
+        codes.append(code)
+        if code != cli.EXIT_OK:
+            assert code in DATA_EXITS, err
+            assert not enc.exists()
+            assert err.startswith("geg: ") and err.count("\n") == 1, err
+            return
+        # what the untouched responder reads is the plaintext, or is refused
+        code = cli.main(["decrypt", "--state", str(tmp_path / "kx.responder"), "--in", str(enc),
+                         "--out", str(dst)])
+        err = capsys.readouterr().err
+        enc.unlink()
+        if code == cli.EXIT_OK:
+            assert dst.read_bytes() == src.read_bytes(), splice
+            dst.unlink()
+        else:
+            assert code in (cli.EXIT_CODEC, cli.EXIT_PROTOCOL), err
+            assert not dst.exists()
+            assert err.startswith("geg: ") and err.count("\n") == 1, err
+
+    encrypt_with()
+    # an unread or harmless byte, the codec and the pair each decided some run
     assert {cli.EXIT_OK, cli.EXIT_CODEC, cli.EXIT_PROTOCOL} <= set(codes)
 
 

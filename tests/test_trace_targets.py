@@ -37,7 +37,8 @@ def test_target_resolves(name, module_name, class_name, attr):
 
 
 def test_decrypt_session_work_does_not_grow_with_blocks(tmp_path, capsys):
-    # subgroup conjugates, bases and scalar inverses are per file, not per block
+    # the context, the state file's matrices and their checks are per file,
+    # not per block
     tracing = load("tracer")
     prefix = tmp_path / "kx"
     assert cli.main(["keyexchange", "--seed", "beef", "--state", str(prefix)]) == 0
@@ -57,8 +58,11 @@ def test_decrypt_session_work_does_not_grow_with_blocks(tmp_path, capsys):
         assert code == 0 and dst.read_bytes() == src.read_bytes()
         assert f"decrypted {blocks} blocks" in capsys.readouterr().out
         counts[blocks] = tracing.summarize(tracer.spans)
-    for name in ("commuting.conjugate", "commuting.context_init", "linalg.inv"):
+    called = ("linalg.det", "linalg.matmul", "wire.bytes_to_matrix", "cli.load_state")
+    for name in ("commuting.conjugate", "commuting.context_init", "linalg.inv", *called):
         assert counts[600][name]["calls"] == counts[1][name]["calls"], name
+    for name in called:  # each runs, so its pin above is no 0 == 0
+        assert counts[1][name]["calls"] >= 1, name
 
 
 def test_session_churn_pairing_is_correct(monkeypatch):
