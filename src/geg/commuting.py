@@ -69,7 +69,8 @@ class CommutingContext:
         try:
             basis_inv, generator_inv = inv_stack([basis, generator], basis.p)
         except SingularMatrixError as exc:
-            raise SingularMatrixError(f"{('basis', 'generator')[exc.index]} is singular") from exc
+            raise SingularMatrixError(f"{('basis', 'generator')[exc.index]} is singular",
+                                      exc.index) from exc
         self.basis, self.basis_inv = basis, MatrixFp(basis_inv, basis.p)
         if self.basis @ self.basis_inv != MatrixFp.identity(basis.d, basis.p):
             raise GegError("cached basis inverse does not invert the basis")
@@ -102,8 +103,7 @@ class CommutingContext:
         u, v = pairs[0]
         for left, right in pairs[1:]:
             u, v = u * left % p, v * right % p
-        outer = u[..., :, np.newaxis] * v[..., np.newaxis, :] % p
-        return self._from_eigenbasis(outer * self._generator % p)
+        return self._from_eigenbasis(_weigh(u, v, self._generator, p))
 
     def weights(self, exponents: tuple[int, int], eigenvalues) -> tuple[np.ndarray, np.ndarray]:
         """(λ^e1, λ^e2) for each eigenvalue list λ on the last axis of
@@ -142,7 +142,7 @@ class CommutingContext:
         inverse = power_table(p - 2, p)
         w1, w2 = token_weights
         a, b = inverse[u * w1 % p], inverse[v * w2 % p]
-        middle = self._generator_inv * b[:, :, np.newaxis] * a[:, np.newaxis, :] % p
+        middle = _weigh(b, a, self._generator_inv, p)
         return product_mod([y2, self.basis, middle, self.basis_inv], p)
 
     def to_eigenbasis(self, x) -> np.ndarray:
@@ -157,6 +157,11 @@ class CommutingContext:
     def random_element(self, rng: RandomSource) -> MatrixFp:
         """Fresh subgroup member; commutes with everything from this context."""
         return self.conjugate(DiagonalSpec.random(rng, self.d, self.p))
+
+
+def _weigh(u: np.ndarray, v: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
+    """outer(u, v) ∘ m mod p = diag(u) m diag(v), for u and v on the last axis."""
+    return u[..., :, np.newaxis] * v[..., np.newaxis, :] * m % p
 
 
 def read_outer(x: np.ndarray, g: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,7 +183,7 @@ def read_outer(x: np.ndarray, g: np.ndarray, p: int) -> tuple[np.ndarray, np.nda
             v[:, cols] = ratio * inverse[u[:, rows]] % p
         else:
             u[:, rows] = ratio * inverse[v[:, cols]] % p
-    fits = (x == u[:, :, np.newaxis] * v[:, np.newaxis, :] * g % p).all(axis=(1, 2))
+    fits = (x == _weigh(u, v, g, p)).all(axis=(1, 2))
     return u, v, fits
 
 

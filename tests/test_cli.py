@@ -50,9 +50,10 @@ class TestDemo:
 
 
 class TestFileCrypto:
-    def exchange(self, capsys, tmp_path, seed="beef"):
+    def exchange(self, capsys, tmp_path, seed="beef", dim=8):
         prefix = tmp_path / "kx"
-        code, _, _ = run(capsys, ["keyexchange", "--state", str(prefix), "--seed", seed])
+        code, _, _ = run(capsys, ["keyexchange", "--state", str(prefix), "--seed", seed,
+                                  "--dim", str(dim)])
         assert code == 0
         return prefix.with_name("kx.initiator"), prefix.with_name("kx.responder")
 
@@ -222,7 +223,7 @@ class TestFileCrypto:
         assert not dst.exists()
 
     def test_decrypt_eliminates_no_stack_of_blocks(self, capsys, tmp_path, monkeypatch):
-        # 600 blocks decrypt in three calls of decrypt_blocks; past the state
+        # 600 blocks decrypt in five calls of decrypt_blocks; past the state
         # check, no call eliminates: G~^-1 is the context's, and no block is inverted
         from geg import linalg
 
@@ -239,24 +240,43 @@ class TestFileCrypto:
         assert shapes == [(2, 8, 16), (1, 8, 8)]
 
     def test_refused_block_is_named_by_its_place_in_the_file(self, capsys, tmp_path):
-        # decrypt runs in batches of BATCH_BLOCKS; block 300 is the 45th of the second
-        init, resp = self.exchange(capsys, tmp_path)
-        src, enc, dst = tmp_path / "p.bin", tmp_path / "c.geg", tmp_path / "o.bin"
-        src.write_bytes(random.Random(600).randbytes(600 * wire.block_capacity(8) - 1))
-        assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc)])[0] == 0
-        stream = bytearray(enc.read_bytes())
-        y1 = 12 + 300 * 138 + 10  # context frame, 300 cipher frames, one frame header
-        stream[y1 : y1 + 64] = self.RANDOM_Y1
-        enc.write_bytes(bytes(stream))
-        code, out, err = run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc), "--out", str(dst)])
-        assert code == cli.EXIT_PROTOCOL and out == ""
-        assert "y1: matrix 300 of the stack is not a sandwich of the generator" in err
-        assert not dst.exists()
+        # decrypt runs in slices of BATCH_ENTRIES // d**2 blocks; at each d the
+        # tampered block is the sixth of the third slice, and the error names
+        # its place in the file, not in the slice
+        for dim in cli.PROTOCOL_DIMS:
+            work = tmp_path / f"d{dim}"
+            work.mkdir()
+            init, resp = self.exchange(capsys, work, dim=dim)
+            src, enc, dst = work / "p.bin", work / "c.geg", work / "o.bin"
+            step, size = cli.BATCH_ENTRIES // dim**2, dim * dim
+            bad = 2 * step + 5
+            src.write_bytes(random.Random(dim).randbytes(3 * step * wire.block_capacity(dim)))
+            assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc)])[0] == 0
+            stream = bytearray(enc.read_bytes())
+            y1 = 12 + bad * (10 + 2 * size) + 10  # context frame, `bad` cipher frames, one frame header
+            stream[y1 : y1 + size] = MatrixFp.random_invertible(RandomSource.deterministic(7), dim).array.tobytes()
+            enc.write_bytes(bytes(stream))
+            code, out, err = run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc), "--out", str(dst)])
+            assert code == cli.EXIT_PROTOCOL and out == ""
+            assert f"y1: matrix {bad} of the stack is not a sandwich of the generator" in err
+            assert not dst.exists()
 
-    @pytest.mark.parametrize("dim", [8, 16])
-    @pytest.mark.parametrize("blocks", [1, 255, 256, 257, 600])
+    def test_batch_slices_fit_the_entry_budget(self):
+        # at every d a slice holds a block, one (N, d, d) float64 temporary of
+        # the cipher stays within 64 KiB, and the slices cover the stack in order
+        blocks = range(1000)
+        for dim in cli.PROTOCOL_DIMS:
+            batches = cli._batches(len(blocks), dim)
+            assert all(blocks[batch] for batch in batches)
+            assert max(len(blocks[batch]) for batch in batches) * dim * dim * 8 <= 64 * 1024
+            assert [i for batch in batches for i in blocks[batch]] == list(blocks)
+
+    @pytest.mark.parametrize("blocks, dim", [
+        (blocks, dim) for dim in cli.PROTOCOL_DIMS for step in [cli.BATCH_ENTRIES // dim**2]
+        for blocks in (1, step - 1, step, step + 1, 2 * step + 1, 600)])
     def test_encrypt_matches_per_block_reference(self, capsys, tmp_path, dim, blocks):
-        # the CLI encrypts in slices of BATCH_BLOCKS; 255..257 and 600 cross them
+        # the CLI encrypts in slices of BATCH_ENTRIES // d**2 blocks; the
+        # counts around one and two slices, and 600, cross their edges
         prefix = tmp_path / "kx"
         assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", "beef",
                             "--dim", str(dim)])[0] == 0

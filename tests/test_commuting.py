@@ -51,16 +51,18 @@ class TestDiagonalSpec:
 
 class TestContext:
     def test_singular_basis_rejected(self):
-        with pytest.raises(SingularMatrixError, match="basis is singular"):
+        with pytest.raises(SingularMatrixError, match="basis is singular") as caught:
             CommutingContext(MatrixFp([[1, 1], [1, 1]], 5), MatrixFp.identity(2, 5))
+        assert caught.value.index == 0
 
     @pytest.mark.parametrize("basis, name", [
         ([[1, 1], [0, 1]], "generator"),
         ([[1, 1], [1, 1]], "basis"),  # both singular: the first of the pair is named
     ])
     def test_singular_generator_rejected_by_name(self, basis, name):
-        with pytest.raises(SingularMatrixError, match=f"^{name} is singular$"):
+        with pytest.raises(SingularMatrixError, match=f"^{name} is singular$") as caught:
             CommutingContext(MatrixFp(basis, 5), MatrixFp([[2, 4], [1, 2]], 5))
+        assert caught.value.index == ("basis", "generator").index(name)
 
     @pytest.mark.parametrize("d, p", [(4, 251), (8, 7)])
     def test_generator_of_another_size_or_field_rejected(self, d, p):

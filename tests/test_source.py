@@ -1,7 +1,6 @@
 """Checks on the source text of `geg` itself."""
 
 import ast
-import re
 from pathlib import Path
 
 import geg
@@ -169,14 +168,19 @@ def _definitions(tree):
 def test_every_definition_has_a_caller():
     # src/geg holds what a geg process runs: a definition that nothing in the
     # package names is exported API, the console entry point, or a name the
-    # benchmark pins (tracer.TARGETS names its targets by string)
+    # benchmark's code references or traces (tracer.TARGETS names its
+    # targets by string); a word in a comment or docstring pins nothing
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    benchmark = [ast.parse(path.read_text(), str(path)) for path in sorted(PERFBENCH.glob("*.py"))]
     field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
-    referenced = {getattr(node, field[type(node)]) for tree in trees.values()
-                  for node in ast.walk(tree) if type(node) in field}
-    pinned = {word for path in sorted(PERFBENCH.glob("*.py"))
-              for word in re.findall(r"\w+", path.read_text())}
-    allowed = referenced | set(geg.__all__) | pinned | {"main"}
+    referenced, pinned = ({getattr(node, field[type(node)]) for tree in forest
+                           for node in ast.walk(tree) if type(node) in field}
+                          for forest in (trees.values(), benchmark))
+    tracer = ast.parse((PERFBENCH / "tracer.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tracer.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    traced = {attr for _, _, _, attr in targets}
+    allowed = referenced | set(geg.__all__) | pinned | traced | {"main"}
     found = [f"{name}:{line} {defined}" for name, tree in trees.items()
              for line, defined in _definitions(tree) if defined not in allowed]
     assert found == []
