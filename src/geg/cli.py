@@ -40,10 +40,6 @@ EXIT_CODEC = 4
 EXIT_PROTOCOL = 5
 
 PROTOCOL_DIMS = (8, 16)  # the dimensions the CLI runs the protocol at
-# matrix entries per encrypt_blocks/decrypt_blocks call at every d: an (N, d, d)
-# float64 temporary is then 64 KiB, half of glibc's default mmap threshold, at
-# or above which the heap's layout decides if each call page-faults it afresh
-BATCH_ENTRIES = 8192
 STATE_TAG = 0x10
 SESSION_OPEN_PHASE = 0x03  # the only persistable phase
 PRIVATE_MARKER = 0x90
@@ -251,24 +247,13 @@ def _load_state_for(args) -> Entity:
     return entity
 
 
-def _batches(count: int, d: int) -> list[slice]:
-    """Slices of BATCH_ENTRIES // d**2 blocks that cover a stack of `count` blocks."""
-    step = BATCH_ENTRIES // (d * d)
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
 def run_encrypt(args) -> int:
     entity = _load_state_for(args)
     rng = _rng_from(args.seed)
     data = Path(args.input).read_bytes()
     blocks = wire.encode_plaintext(data, entity.d)
-
-    def frames():
-        yield wire.frame(wire.context_message(entity.d, entity.p))
-        for batch in _batches(len(blocks), entity.d):
-            yield wire.cipher_frames(*entity.encrypt_blocks(blocks[batch], rng))
-
-    _write_atomic([(Path(args.output), frames())])
+    head = wire.frame(wire.context_message(entity.d, entity.p))
+    _write_atomic([(Path(args.output), [head, wire.cipher_frames(*entity.encrypt_blocks(blocks, rng))])])
     print(f"encrypted {len(data)} bytes into {len(blocks)} blocks -> {args.output}")
     return EXIT_OK
 
@@ -287,9 +272,7 @@ def run_decrypt(args) -> int:
     if offset == len(raw):
         raise FrameLengthError("ciphertext stream holds no cipher-block frames")
     y1, y2 = wire.read_cipher_blocks(raw, offset, d)
-    plains = np.empty_like(y1)
-    for batch in _batches(len(y1), d):
-        plains[batch] = entity.decrypt_blocks(y1[batch], y2[batch], first=batch.start)
+    plains = entity.decrypt_blocks(y1, y2)
     data = wire.decode_plaintext(plains)
     _write_atomic([(Path(args.output), [data])])
     print(f"decrypted {len(plains)} blocks into {len(data)} bytes -> {args.output}")

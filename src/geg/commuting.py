@@ -55,13 +55,14 @@ class DiagonalSpec:
 
 class CommutingContext:
     """A session's public pair, invertible basis P and generator G, with P^-1,
-    G~ = P^-1 G P and G~^-1 = P^-1 G^-1 P cached from one elimination.
+    G~ = P^-1 G P and G~^-1 = P^-1 G^-1 P cached from one elimination, and
+    the spanning forest of G~'s support that `read_weights` reads along.
 
     Immutable: a protocol session update builds a fresh context.  The cached
     P^-1 is checked, because a stale inverse silently breaks every later
     commutation."""
 
-    __slots__ = ("basis", "basis_inv", "generator", "_generator", "_generator_inv")
+    __slots__ = ("basis", "basis_inv", "generator", "_generator", "_generator_inv", "_forest")
 
     def __init__(self, basis: MatrixFp, generator: MatrixFp):
         if generator.d != basis.d or generator.p != basis.p:
@@ -76,6 +77,7 @@ class CommutingContext:
             raise GegError("cached basis inverse does not invert the basis")
         self.generator, self._generator = generator, self.to_eigenbasis(generator)
         self._generator_inv = self.to_eigenbasis(generator_inv)
+        self._forest = _forest_levels(self._generator != 0)
 
     @property
     def d(self) -> int:
@@ -118,7 +120,7 @@ class CommutingContext:
         of G~'s support fixes its part of (u, v) up to one scale, and the first
         row of each component reads 1.  Raises MalformedMatrixError for the
         lowest matrix of the stack that is no such sandwich."""
-        u, v, fits = read_outer(self.to_eigenbasis(stack), self._generator, self.p)
+        u, v, fits = read_outer(self.to_eigenbasis(stack), self._generator, self._forest, self.p)
         invertible = (u != 0).all(axis=1) & (v != 0).all(axis=1)
         bad = np.flatnonzero(~(fits & invertible))
         if bad.size:
@@ -164,20 +166,20 @@ def _weigh(u: np.ndarray, v: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
     return u[..., :, np.newaxis] * v[..., np.newaxis, :] * m % p
 
 
-def read_outer(x: np.ndarray, g: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def read_outer(x: np.ndarray, g: np.ndarray, forest, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, v, fits) for an (N, d, d) stack x and a d-by-d matrix g of residues.
 
-    u and v are (N, d) residues read off x ∘ g^{∘-1} along a spanning forest
-    of the bipartite graph that joins row i to column j where g[i, j] != 0,
-    with u = 1 at the first row of each component.  fits[k] says whether
-    x[k] == outer(u[k], v[k]) ∘ g; where it holds, every pair that fits is
-    (u[k], v[k]) rescaled by one factor per component.  u or v holds a zero
-    where x has a zero on an edge of the forest.
+    u and v are (N, d) residues read off x ∘ g^{∘-1} along `forest`, the
+    `_forest_levels(g != 0)` spanning forest of the bipartite graph that joins
+    row i to column j where g[i, j] != 0, with u = 1 at the first row of each
+    component.  fits[k] says whether x[k] == outer(u[k], v[k]) ∘ g; where it
+    holds, every pair that fits is (u[k], v[k]) rescaled by one factor per
+    component.  u or v holds a zero where x has a zero on an edge of the forest.
     """
     inverse = power_table(p - 2, p)  # v**-1 for nonzero v, and 0 for 0
     u = np.ones((x.shape[0], g.shape[0]), dtype=np.int64)
     v = np.ones_like(u)
-    for rows, cols, to_cols in _forest_levels(g != 0):
+    for rows, cols, to_cols in forest:
         ratio = x[:, rows, cols] * inverse[g[rows, cols]] % p
         if to_cols:
             v[:, cols] = ratio * inverse[u[:, rows]] % p

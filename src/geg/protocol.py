@@ -38,6 +38,17 @@ from .errors import MalformedMatrixError, ProtocolError
 from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp, product_mod
 
+# matrix entries per slice of the cipher's stacks at every d: an (N, d, d)
+# float64 temporary is then 64 KiB, half of glibc's default mmap threshold, at
+# or above which the heap's layout decides if each call page-faults it afresh
+BATCH_ENTRIES = 8192
+
+
+def _slices(count: int, d: int) -> list[slice]:
+    """Slices of BATCH_ENTRIES // d**2 blocks that cover a stack of `count` blocks."""
+    step = BATCH_ENTRIES // (d * d)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
 
 class Phase(enum.Enum):
     FRESH = "fresh"
@@ -263,30 +274,31 @@ class Entity:
         stacks (y1, y2).
 
         Each block has its own fresh ephemeral element J: reusing one would
-        relate blocks algebraically under known plaintext.  The N eigenvalue
-        lists are drawn first, in block order, so the ciphertext equals that
-        of N single-block calls on the same random stream.  Plaintext blocks
-        may be singular.
+        relate blocks algebraically under known plaintext.  The stack is
+        enciphered in slices of BATCH_ENTRIES matrix entries, and the N
+        eigenvalue lists are drawn in block order, so the ciphertext equals
+        that of N single-block calls on the same random stream.  Plaintext
+        blocks may be singular.
         """
         if self.phase is not Phase.SESSION_OPEN:
             raise ProtocolError("encrypt requires an open session")
         if self._peer_weights is None:
             raise ProtocolError("no session token from peer")
         plains = self._check_blocks("plaintext", plains)
-        ephemeral = np.array(
-            [rng.distinct_nonzero(self.d, self.p) for _ in range(len(plains))], dtype=np.int64
-        ).reshape(-1, self.d)
-        # y1 = J^m G J^n and y2 = H (J^m B' J^n), B' the peer's session token
-        ephemeral_weights = self.context.weights(self.exponents, ephemeral)
-        y1 = self.context.compose(ephemeral_weights)
-        mask = self.context.compose(ephemeral_weights, self._peer_weights)
-        y2 = product_mod([plains, mask], self.p)
-        return y1.astype(np.uint8), y2.astype(np.uint8)
+        exponents, d, p = self.exponents, self.d, self.p
+        y1, y2 = np.empty(plains.shape, np.uint8), np.empty(plains.shape, np.uint8)
+        for part in _slices(len(plains), d):
+            ephemeral = [rng.distinct_nonzero(d, p) for _ in range(len(plains[part]))]
+            # y1 = J^m G J^n and y2 = H (J^m B' J^n), B' the peer's session token
+            weights = self.context.weights(exponents, ephemeral)
+            y1[part] = self.context.compose(weights)
+            y2[part] = product_mod([plains[part], self.context.compose(weights, self._peer_weights)], p)
+        return y1, y2
 
-    def decrypt_blocks(self, y1, y2, first: int = 0) -> np.ndarray:
+    def decrypt_blocks(self, y1, y2) -> np.ndarray:
         """Invert (N, d, d) stacks of blocks encrypted against this entity's
-        session token; returns the uint8 plaintext stack.  A refused y1 is
-        named by its index plus `first`, the caller's place for y1[0]."""
+        session token, in slices of BATCH_ENTRIES matrix entries; returns the
+        uint8 plaintext stack.  A refused y1 is named by its index in the stack."""
         if self.phase is not Phase.SESSION_OPEN:
             raise ProtocolError("decrypt requires an open session")
         y1, y2 = self._check_blocks("y1", y1), self._check_blocks("y2", y2)
@@ -295,12 +307,14 @@ class Entity:
         # y2 (B^m y1 B^n)^-1, B this entity's private element: the mask is read
         # entrywise off y1 and the weights of its token B^m G B^n, inverting no block
         token_weights = self.context.weights(self.exponents, self._eigenvalues.values)
-        try:
-            plains = self.context.unmask(y1, y2, token_weights)
-        except MalformedMatrixError as exc:
-            raise ProtocolError(f"malformed ciphertext: y1: matrix {first + exc.index} "
-                                f"of the stack {exc.reason}") from exc
-        return plains.astype(np.uint8)
+        plains = np.empty(y1.shape, np.uint8)
+        for part in _slices(len(y1), self.d):
+            try:
+                plains[part] = self.context.unmask(y1[part], y2[part], token_weights)
+            except MalformedMatrixError as exc:
+                raise ProtocolError(f"malformed ciphertext: y1: matrix {part.start + exc.index} "
+                                    f"of the stack {exc.reason}") from exc
+        return plains
 
     def _check_blocks(self, name: str, blocks) -> np.ndarray:
         """`blocks` as an (N, d, d) integer array of residues in [0, p), or

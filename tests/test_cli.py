@@ -8,7 +8,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from geg import cli, wire
+from geg import cli, protocol, wire
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
 from geg.protocol import start_session
@@ -223,8 +223,8 @@ class TestFileCrypto:
         assert not dst.exists()
 
     def test_decrypt_eliminates_no_stack_of_blocks(self, capsys, tmp_path, monkeypatch):
-        # 600 blocks decrypt in five calls of decrypt_blocks; past the state
-        # check, no call eliminates: G~^-1 is the context's, and no block is inverted
+        # 600 blocks decrypt in one call of decrypt_blocks, in five slices; past
+        # the state check, nothing eliminates: G~^-1 is the context's, and no block is inverted
         from geg import linalg
 
         init, resp = self.exchange(capsys, tmp_path)
@@ -240,15 +240,15 @@ class TestFileCrypto:
         assert shapes == [(2, 8, 16), (1, 8, 8)]
 
     def test_refused_block_is_named_by_its_place_in_the_file(self, capsys, tmp_path):
-        # decrypt runs in slices of BATCH_ENTRIES // d**2 blocks; at each d the
-        # tampered block is the sixth of the third slice, and the error names
-        # its place in the file, not in the slice
+        # decrypt_blocks runs in slices of protocol.BATCH_ENTRIES // d**2 blocks;
+        # at each d the tampered block is the sixth of the third slice, and the
+        # error names its place in the file, not in the slice
         for dim in cli.PROTOCOL_DIMS:
             work = tmp_path / f"d{dim}"
             work.mkdir()
             init, resp = self.exchange(capsys, work, dim=dim)
             src, enc, dst = work / "p.bin", work / "c.geg", work / "o.bin"
-            step, size = cli.BATCH_ENTRIES // dim**2, dim * dim
+            step, size = protocol.BATCH_ENTRIES // dim**2, dim * dim
             bad = 2 * step + 5
             src.write_bytes(random.Random(dim).randbytes(3 * step * wire.block_capacity(dim)))
             assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc)])[0] == 0
@@ -261,22 +261,12 @@ class TestFileCrypto:
             assert f"y1: matrix {bad} of the stack is not a sandwich of the generator" in err
             assert not dst.exists()
 
-    def test_batch_slices_fit_the_entry_budget(self):
-        # at every d a slice holds a block, one (N, d, d) float64 temporary of
-        # the cipher stays within 64 KiB, and the slices cover the stack in order
-        blocks = range(1000)
-        for dim in cli.PROTOCOL_DIMS:
-            batches = cli._batches(len(blocks), dim)
-            assert all(blocks[batch] for batch in batches)
-            assert max(len(blocks[batch]) for batch in batches) * dim * dim * 8 <= 64 * 1024
-            assert [i for batch in batches for i in blocks[batch]] == list(blocks)
-
     @pytest.mark.parametrize("blocks, dim", [
-        (blocks, dim) for dim in cli.PROTOCOL_DIMS for step in [cli.BATCH_ENTRIES // dim**2]
+        (blocks, dim) for dim in cli.PROTOCOL_DIMS for step in [protocol.BATCH_ENTRIES // dim**2]
         for blocks in (1, step - 1, step, step + 1, 2 * step + 1, 600)])
     def test_encrypt_matches_per_block_reference(self, capsys, tmp_path, dim, blocks):
-        # the CLI encrypts in slices of BATCH_ENTRIES // d**2 blocks; the
-        # counts around one and two slices, and 600, cross their edges
+        # encrypt_blocks runs in slices of protocol.BATCH_ENTRIES // d**2
+        # blocks; the counts around one and two slices, and 600, cross their edges
         prefix = tmp_path / "kx"
         assert run(capsys, ["keyexchange", "--state", str(prefix), "--seed", "beef",
                             "--dim", str(dim)])[0] == 0

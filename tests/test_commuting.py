@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geg import commuting
-from geg.commuting import CommutingContext, DiagonalSpec, read_outer
+from geg.commuting import CommutingContext, DiagonalSpec, _forest_levels, read_outer
 from geg.errors import GegError, ProtocolError, SingularMatrixError
 from geg.field import RandomSource
 from geg.linalg import MatrixFp
@@ -274,7 +274,7 @@ class TestReader:
         for g in every[invertible]:
             honest = np.unique((outers * g % p).reshape(-1, 4) @ p ** np.arange(4))
             assert len(honest) == (p - 1) ** (4 - support_components(g.tolist()))
-            u, v, fits = read_outer(every, g, p)
+            u, v, fits = read_outer(every, g, _forest_levels(g != 0), p)
             accepted = fits & (u != 0).all(axis=1) & (v != 0).all(axis=1)
             assert np.array_equal(np.sort(code[accepted]), honest)
             sizes.add(len(honest))

@@ -558,6 +558,48 @@ class TestCipher:
         assert bob.decrypt_block(blocks[0]) == plain
 
 
+class TestSlices:
+    def test_slices_fit_the_entry_budget(self):
+        # at every d a slice holds a block, one (N, d, d) float64 temporary of
+        # the cipher stays within 64 KiB, and the slices cover the stack in order
+        blocks = range(1000)
+        for d in (8, 16):
+            slices = protocol._slices(len(blocks), d)
+            assert all(blocks[part] for part in slices)
+            assert max(len(blocks[part]) for part in slices) * d * d * 8 <= 64 * 1024
+            assert [i for part in slices for i in blocks[part]] == list(blocks)
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_cipher_bounds_its_own_stacks(self, monkeypatch, d):
+        # one encrypt_blocks and one decrypt_blocks call on 600 blocks: every
+        # factor of every residue product holds at most BATCH_ENTRIES entries
+        from geg import commuting
+
+        alice, bob, rng = make_pair(34, d)
+        start_session(alice, bob)
+        plains = rng.array_mod(600 * d * d).reshape(600, d, d)
+        sizes, product_mod = [], protocol.product_mod
+        record = lambda factors, p: sizes.extend(np.size(f) for f in factors) or product_mod(factors, p)
+        monkeypatch.setattr(protocol, "product_mod", record)
+        monkeypatch.setattr(commuting, "product_mod", record)
+        recovered = bob.decrypt_blocks(*alice.encrypt_blocks(plains, rng))
+        assert np.array_equal(recovered, plains)
+        assert sizes and max(sizes) <= protocol.BATCH_ENTRIES
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_refused_block_is_named_by_its_index_in_the_stack(self, d):
+        # the sixth block of the third slice is refused, and so is one in the
+        # fourth: one decrypt_blocks call names the lowest by its index in the stack
+        alice, bob, rng = make_pair(35, d)
+        start_session(alice, bob)
+        step = protocol.BATCH_ENTRIES // d**2
+        bad = 2 * step + 5
+        y1, y2 = alice.encrypt_blocks(np.zeros((4 * step, d, d), np.int64), rng)
+        y1[bad] = y1[bad + step] = MatrixFp.random_invertible(RandomSource.deterministic(7), d).array
+        with pytest.raises(ProtocolError, match=f"y1: matrix {bad} of the stack is not a sandwich"):
+            bob.decrypt_blocks(y1, y2)
+
+
 class TestRestore:
     def test_restore_round_trip(self):
         alice, bob, rng = make_pair(25)
