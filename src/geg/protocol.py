@@ -44,9 +44,14 @@ from .linalg import MatrixFp, product_mod
 BATCH_ENTRIES = 8192
 
 
+def slice_blocks(d: int) -> int:
+    """Blocks per slice of the cipher's stacks at dimension d: BATCH_ENTRIES // d**2."""
+    return BATCH_ENTRIES // (d * d)
+
+
 def _slices(count: int, d: int) -> list[slice]:
-    """Slices of BATCH_ENTRIES // d**2 blocks that cover a stack of `count` blocks."""
-    step = BATCH_ENTRIES // (d * d)
+    """Slices of slice_blocks(d) blocks that cover a stack of `count` blocks."""
+    step = slice_blocks(d)
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
@@ -295,10 +300,11 @@ class Entity:
             y2[part] = product_mod([plains[part], self.context.compose(weights, self._peer_weights)], p)
         return y1, y2
 
-    def decrypt_blocks(self, y1, y2) -> np.ndarray:
+    def decrypt_blocks(self, y1, y2, *, first: int = 0) -> np.ndarray:
         """Invert (N, d, d) stacks of blocks encrypted against this entity's
         session token, in slices of BATCH_ENTRIES matrix entries; returns the
-        uint8 plaintext stack.  A refused y1 is named by its index in the stack."""
+        uint8 plaintext stack.  A refused y1 is named by its index in the
+        stack plus `first`, the caller's place for y1[0]."""
         if self.phase is not Phase.SESSION_OPEN:
             raise ProtocolError("decrypt requires an open session")
         y1, y2 = self._check_blocks("y1", y1), self._check_blocks("y2", y2)
@@ -312,7 +318,7 @@ class Entity:
             try:
                 plains[part] = self.context.unmask(y1[part], y2[part], token_weights)
             except MalformedMatrixError as exc:
-                raise ProtocolError(f"malformed ciphertext: y1: matrix {part.start + exc.index} "
+                raise ProtocolError(f"malformed ciphertext: y1: matrix {first + part.start + exc.index} "
                                     f"of the stack {exc.reason}") from exc
         return plains
 

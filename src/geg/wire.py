@@ -29,8 +29,11 @@ to the pad length.
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 from dataclasses import dataclass
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -121,6 +124,19 @@ def read_frame(data: bytes, offset: int = 0) -> tuple[WireMessage, int]:
     return WireMessage(msg_type, d, payload), end
 
 
+def read_frame_from(stream: BinaryIO) -> WireMessage:
+    """The frame at the position of a seekable binary stream, read no further
+    than its declared end or the stream's: raises what read_frame raises on
+    the rest of the stream."""
+    start = stream.tell()
+    rest = stream.seek(0, os.SEEK_END) - start
+    stream.seek(start)
+    data = stream.read(HEADER_LEN)
+    if len(data) == HEADER_LEN:
+        data += stream.read(min(_HEADER.unpack(data)[3], rest - HEADER_LEN))
+    return read_frame(data)[0]
+
+
 def parse(data: bytes) -> WireMessage:
     """Strict single-frame parse: the buffer must hold exactly one frame."""
     msg, end = read_frame(data, 0)
@@ -167,8 +183,8 @@ def cipher_block_message(block: tuple[MatrixFp, MatrixFp]) -> WireMessage:
 
 def cipher_block_from_message(msg: WireMessage) -> tuple[MatrixFp, MatrixFp]:
     """The (y1, y2) pair of one cipher-block message: the N=1 case of
-    read_cipher_blocks, which raises what read_frame would."""
-    y1, y2 = read_cipher_blocks(frame(msg), 0, msg.d)
+    read_cipher_chunks, which raises what read_frame would."""
+    y1, y2 = next(read_cipher_chunks(io.BytesIO(frame(msg)), msg.d, 1))
     return MatrixFp(y1[0]), MatrixFp(y2[0])
 
 
@@ -183,30 +199,33 @@ def cipher_frames(y1: np.ndarray, y2: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def read_cipher_blocks(data: bytes, offset: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, d, d) stacks y1 and y2 of the cipher-block frames at dimension
-    d that fill data[offset:], as read-only views of `data`.
+def read_cipher_chunks(stream: BinaryIO, d: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (y1, y2) stacks of the cipher-block frames at dimension d that fill
+    the rest of a seekable binary stream, `count` frames at a time, as
+    read-only views of the chunk read.
 
-    Every header and every payload byte is checked in one pass.  From the
-    first frame that fails, the stream is parsed by read_frame, so each
-    defect raises the error it raises frame by frame: a framing error, a
-    FrameValueError for a frame at another d, or a FrameTypeError.
+    Every header and every payload byte of a chunk is checked in one pass.
+    The first frame that fails is read again by read_frame_from, to its
+    declared end, so each defect raises the error it raises frame by frame:
+    a framing error, a FrameValueError for a frame at another d, or a
+    FrameTypeError.
     """
-    size = HEADER_LEN + 2 * d * d
-    count = (len(data) - offset) // size
-    frames = np.frombuffer(data, dtype=np.uint8, count=count * size, offset=offset)
-    frames = frames.reshape(count, size)
-    good = (frames[:, :HEADER_LEN] == np.frombuffer(_cipher_header(d), dtype=np.uint8)).all(axis=1)
-    good &= frames[:, HEADER_LEN:].max(axis=1, initial=0) < DEFAULT_PRIME
-    bad = np.flatnonzero(~good)
-    if bad.size or offset + count * size != len(data):
-        msg, _ = read_frame(data, offset + size * (int(bad[0]) if bad.size else count))
-        if msg.d != d:
-            raise FrameValueError(f"frame at d={msg.d} in a ciphertext stream at d={d}")
-        raise FrameTypeError("not a cipher-block message")
-    half = HEADER_LEN + d * d
-    return (frames[:, HEADER_LEN:half].reshape(count, d, d),
-            frames[:, half:].reshape(count, d, d))
+    size, half = HEADER_LEN + 2 * d * d, HEADER_LEN + d * d
+    header = np.frombuffer(_cipher_header(d), dtype=np.uint8)
+    while chunk := stream.read(count * size):
+        frames = np.frombuffer(chunk, dtype=np.uint8, count=len(chunk) // size * size)
+        frames = frames.reshape(-1, size)
+        headers = frames[:, :HEADER_LEN] == header
+        # the common case first: one reduction over the whole chunk
+        if len(chunk) % size or not headers.all() or frames[:, HEADER_LEN:].max(initial=0) >= DEFAULT_PRIME:
+            good = headers.all(axis=1) & (frames[:, HEADER_LEN:].max(axis=1, initial=0) < DEFAULT_PRIME)
+            bad = np.flatnonzero(~good)
+            stream.seek(size * (int(bad[0]) if bad.size else len(frames)) - len(chunk), os.SEEK_CUR)
+            msg = read_frame_from(stream)
+            if msg.d != d:
+                raise FrameValueError(f"frame at d={msg.d} in a ciphertext stream at d={d}")
+            raise FrameTypeError("not a cipher-block message")
+        yield frames[:, HEADER_LEN:half].reshape(-1, d, d), frames[:, half:].reshape(-1, d, d)
 
 
 def _cipher_header(d: int) -> bytes:
@@ -238,28 +257,41 @@ def block_capacity(d: int) -> int:
     return cap
 
 
-def encode_plaintext(data: bytes, d: int = 8) -> np.ndarray:
+def encode_plaintext(data: bytes, d: int = 8, *, final: bool = True) -> np.ndarray:
     """Pack bytes into an (N, d, d) uint8 stack of message blocks at 7 bytes
     per 8 entries, then pad.
 
     Padding is always appended (a full final block gains one extra all-pad
     block), so decoding is unambiguous for every input length including zero.
+    With final=False, `data` is a chunk of whole blocks that more of the
+    message follows, packed without padding: the chunks of a message, cut at
+    whole blocks and encoded in turn, join to the encoding of the whole.
     """
     cap = block_capacity(d)
-    pad = cap - len(data) % cap
-    chunks = np.frombuffer(data + bytes([pad]) * pad, dtype=np.uint8).reshape(-1, _PACK_CHUNK)
+    if final:
+        pad = cap - len(data) % cap
+        data = data + bytes([pad]) * pad
+    elif len(data) % cap:
+        raise ValueError(f"a chunk before the last holds whole blocks of {cap} bytes, "
+                         f"not {len(data)} bytes")
+    chunks = np.frombuffer(data, dtype=np.uint8).reshape(-1, _PACK_CHUNK)
     # each chunk, behind one zero byte, is a big-endian 64-bit word
     words = np.zeros((len(chunks), _DIGITS_PER_CHUNK), dtype=np.uint8)
     words[:, 1:] = chunks
-    digits = words.view(">u8") // _PLACES
-    digits %= DEFAULT_PRIME
-    return digits.reshape(-1, d, d).astype(np.uint8)
+    values = words.view(">u8")[:, 0]
+    # one place at a time, least significant first: no temporary holds a uint64 per digit
+    digits = np.empty(words.shape, dtype=np.uint8)
+    for place in range(_DIGITS_PER_CHUNK - 1, -1, -1):
+        values, digits[:, place] = np.divmod(values, DEFAULT_PRIME)
+    return digits.reshape(-1, d, d)
 
 
-def decode_plaintext(blocks) -> bytes:
+def decode_plaintext(blocks, *, final: bool = True) -> bytes:
     """Inverse of encode_plaintext, on an (N, d, d) stack or anything numpy
     reads as one (a list of MatrixFp, say); validates the shape, the digits,
-    the digit groups and the padding."""
+    the digit groups and, in the final chunk only, the padding.  With
+    final=False the blocks are a chunk that more of the message follows, and
+    all of their bytes are returned."""
     try:
         stack = np.asarray(blocks)
     except ValueError as exc:  # a ragged sequence
@@ -275,6 +307,8 @@ def decode_plaintext(blocks) -> bytes:
     if (values >> 8 * _PACK_CHUNK).any():
         raise CorruptBlockError("digit group exceeds the packed-chunk range")
     out = values.astype(">u8").view(np.uint8).reshape(-1, _DIGITS_PER_CHUNK)[:, 1:].tobytes()
+    if not final:
+        return out
     pad = out[-1]
     if not 1 <= pad <= cap:
         raise PaddingError(f"pad length byte {pad} outside [1, {cap}]")

@@ -1,9 +1,13 @@
+import contextlib
 import errno
+import functools
+import io
 import itertools
 import os
 import random
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,26 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# blocks per chunk that geg encrypt and decrypt read and write at each d
+CHUNK = {d: cli.CHUNK_SLICES * protocol.slice_blocks(d) for d in cli.PROTOCOL_DIMS}
+
+
+@functools.cache
+def seeded_stream(dim: int, blocks: int) -> tuple[bytes, bytes]:
+    """(responder state, cipher stream) of a `keyexchange --seed beef` at
+    `dim` and an `encrypt --seed 11` of a seeded file of `blocks` blocks."""
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+        prefix, src, enc = (Path(work) / name for name in ("kx", "p.bin", "c.geg"))
+        assert cli.main(["keyexchange", "--state", str(prefix), "--seed", "beef",
+                         "--dim", str(dim)]) == 0
+        src.write_bytes(random.Random(blocks).randbytes(blocks * wire.block_capacity(dim) - 1))
+        assert cli.main(["encrypt", "--state", f"{prefix}.initiator", "--in", str(src),
+                         "--out", str(enc), "--seed", "11"]) == 0
+        stream = enc.read_bytes()
+        assert len(stream) == 12 + blocks * (10 + 2 * dim * dim)
+        return Path(f"{prefix}.responder").read_bytes(), stream
 
 
 class TestDemo:
@@ -223,7 +247,8 @@ class TestFileCrypto:
         assert not dst.exists()
 
     def test_decrypt_eliminates_no_stack_of_blocks(self, capsys, tmp_path, monkeypatch):
-        # 600 blocks decrypt in one call of decrypt_blocks, in five slices; past
+        # 600 blocks at d=8 fill less than one chunk of cli.CHUNK_SLICES
+        # slices, so they decrypt in one call of decrypt_blocks, in five slices; past
         # the state check, nothing eliminates: G~^-1 is the context's, and no block is inverted
         from geg import linalg
 
@@ -260,6 +285,216 @@ class TestFileCrypto:
             assert code == cli.EXIT_PROTOCOL and out == ""
             assert f"y1: matrix {bad} of the stack is not a sandwich of the generator" in err
             assert not dst.exists()
+
+    def encrypted_stream(self, work, dim, blocks):
+        """(responder state, cipher path) in `work` for a seeded stream of
+        `blocks` blocks, pad included, at `dim`."""
+        resp, enc = work / "kx.responder", work / "c.geg"
+        resp_bytes, stream = seeded_stream(dim, blocks)
+        resp.write_bytes(resp_bytes)
+        enc.write_bytes(stream)
+        return resp, enc
+
+    def decrypt_edited(self, capsys, resp, enc, edits):
+        """Exit code and stderr of decrypting the stream at `enc` with
+        stream[at:at + len(new)] = new for each (at, new) of `edits`."""
+        stream = bytearray(enc.read_bytes())
+        for at, new in edits:
+            stream[at : at + len(new)] = new
+        edited, dst = enc.with_suffix(".edited"), enc.with_suffix(".out")
+        edited.write_bytes(bytes(stream))
+        code, out, err = run(capsys, ["decrypt", "--state", str(resp), "--in", str(edited),
+                                      "--out", str(dst)])
+        assert out == "" and not dst.exists()
+        return code, err
+
+    @pytest.mark.parametrize("dim", cli.PROTOCOL_DIMS)
+    def test_every_frame_is_checked_before_any_block(self, capsys, tmp_path, dim):
+        # block 0's y1 is refused on its own (exit 5); a bad frame in the
+        # second chunk still wins, as the frames are checked over the whole
+        # file before any block is decrypted
+        chunk, size = CHUNK[dim], 10 + 2 * dim * dim
+        resp, enc = self.encrypted_stream(tmp_path, dim, 2 * chunk + 3)
+        y1 = (12 + 10, MatrixFp.random_invertible(RandomSource.deterministic(7), dim).array.tobytes())
+        byte_251 = (12 + (chunk + 3) * size + 15, b"\xfb")
+        code, err = self.decrypt_edited(capsys, resp, enc, [y1])
+        assert code == cli.EXIT_PROTOCOL and "y1: matrix 0 of the stack" in err
+        code, err = self.decrypt_edited(capsys, resp, enc, [y1, byte_251])
+        assert (code, err) == (cli.EXIT_CODEC, "geg: codec error: matrix payload byte out of range "
+                                               "(must be < 251)\n")
+
+    @pytest.mark.parametrize("dim", cli.PROTOCOL_DIMS)
+    def test_refused_y1_outranks_an_earlier_codec_failure(self, capsys, tmp_path, dim):
+        # block 0's y2 is overwritten, so its plaintext fails the codec (exit
+        # 4 on its own); a y1 refused in a later chunk still decides, exit 5
+        chunk, size = CHUNK[dim], 10 + 2 * dim * dim
+        resp, enc = self.encrypted_stream(tmp_path, dim, 2 * chunk + 3)
+        digits = random.Random(3).choices(range(251), k=dim * dim)
+        y2 = (12 + 10 + dim * dim, bytes(digits))
+        bad = chunk + 5
+        y1 = (12 + bad * size + 10,
+              MatrixFp.random_invertible(RandomSource.deterministic(7), dim).array.tobytes())
+        code, err = self.decrypt_edited(capsys, resp, enc, [y2])
+        assert (code, err) == (cli.EXIT_CODEC, "geg: codec error: digit group exceeds the "
+                                               "packed-chunk range\n")
+        code, err = self.decrypt_edited(capsys, resp, enc, [y2, y1])
+        assert (code, err) == (cli.EXIT_PROTOCOL, f"geg: protocol error: malformed ciphertext: y1: "
+                                                  f"matrix {bad} of the stack is not a sandwich "
+                                                  f"of the generator\n")
+
+    @pytest.mark.parametrize("dim", cli.PROTOCOL_DIMS)
+    def test_in_and_out_may_name_one_file(self, capsys, tmp_path, dim):
+        init, resp = self.exchange(capsys, tmp_path, dim=dim)
+        path = tmp_path / "file"
+        data = random.Random(dim).randbytes((2 * CHUNK[dim] + CHUNK[dim] // 2) * wire.block_capacity(dim))
+        path.write_bytes(data)
+        for state, command in ((init, "encrypt"), (resp, "decrypt")):
+            code, _, err = run(capsys, [command, "--state", str(state), "--in", str(path),
+                                        "--out", str(path)])
+            assert (code, err) == (cli.EXIT_OK, "")
+        assert path.read_bytes() == data
+        assert sorted(tmp_path.iterdir()) == sorted([init, resp, path])  # no temporary file left
+
+    @pytest.mark.parametrize("dim", cli.PROTOCOL_DIMS)
+    def test_no_call_sees_more_than_one_chunk(self, capsys, tmp_path, monkeypatch, dim):
+        # what encrypt and decrypt hold does not grow with the file: the
+        # cipher and the codec see a file of two and a half chunks one chunk
+        # at a time (peak RSS itself is measured outside this suite)
+        chunk = CHUNK[dim]
+        init, resp = self.exchange(capsys, tmp_path, dim=dim)
+        src, enc, dst = tmp_path / "p.bin", tmp_path / "c.geg", tmp_path / "o.bin"
+        src.write_bytes(random.Random(dim).randbytes((2 * chunk + chunk // 2) * wire.block_capacity(dim)))
+        seen = []
+
+        def record(owner, name, blocks):
+            real = getattr(owner, name)
+
+            def recorded(*args, **kwargs):
+                result = real(*args, **kwargs)
+                seen.append((name, blocks(args, result)))
+                return result
+
+            monkeypatch.setattr(owner, name, recorded)
+
+        record(protocol.Entity, "encrypt_blocks", lambda args, _: len(args[1]))
+        record(protocol.Entity, "decrypt_blocks", lambda args, _: len(args[1]))
+        record(wire, "encode_plaintext", lambda _, result: len(result))
+        record(wire, "decode_plaintext", lambda args, _: len(args[0]))
+        assert run(capsys, ["encrypt", "--state", str(init), "--in", str(src), "--out", str(enc)])[0] == 0
+        assert run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc), "--out", str(dst)])[0] == 0
+        assert dst.read_bytes() == src.read_bytes()
+        names = ("encode_plaintext", "encrypt_blocks", "decrypt_blocks", "decode_plaintext")
+        assert [[size for called, size in seen if called == name] for name in names] == [
+            [chunk, chunk, chunk // 2 + 1]] * 4
+
+    def test_decrypt_needs_an_input_it_can_read_twice(self, capsys, tmp_path):
+        # encrypt reads its input once, so a pipe will do; decrypt reads it
+        # twice, and a pipe is an i/o error that writes nothing
+        init, resp = self.exchange(capsys, tmp_path)
+        src, enc, dst = tmp_path / "p.bin", tmp_path / "c.geg", tmp_path / "o.bin"
+        src.write_bytes(random.Random(1).randbytes(3000))
+
+        def piped(data, argv):
+            read, write = os.pipe()
+            os.write(write, data)  # within one pipe buffer
+            os.close(write)
+            try:
+                return run(capsys, [*argv, "--in", f"/dev/fd/{read}"])
+            finally:
+                os.close(read)
+
+        argv = ["encrypt", "--state", str(init), "--seed", "11", "--out"]
+        assert piped(src.read_bytes(), [*argv, str(enc)])[0] == cli.EXIT_OK
+        assert run(capsys, [*argv, str(tmp_path / "f.geg"), "--in", str(src)])[0] == cli.EXIT_OK
+        assert enc.read_bytes() == (tmp_path / "f.geg").read_bytes()
+        code, out, err = piped(enc.read_bytes(), ["decrypt", "--state", str(resp), "--out", str(dst)])
+        assert (code, out) == (cli.EXIT_IO, "") and "Illegal seek" in err
+        assert not dst.exists()
+
+    def test_stream_that_changes_between_the_passes_is_refused(self, capsys, tmp_path, monkeypatch):
+        # the second pass finds a chunk fewer than the first counted: no block
+        # reaches the padding check, and nothing is written
+        resp, enc = self.encrypted_stream(tmp_path, 8, 2 * CHUNK[8] + 3)
+        read, passes = wire.read_cipher_chunks, []
+
+        def shorter(*args):
+            passes.append(args)
+            chunks = list(read(*args))
+            return iter(chunks[:-1] if len(passes) == 2 else chunks)
+
+        monkeypatch.setattr(wire, "read_cipher_chunks", shorter)
+        assert self.decrypt_edited(capsys, resp, enc, []) == (
+            cli.EXIT_CODEC, "geg: codec error: ciphertext stream changed while it was read\n")
+
+    # MALFORMED's defects, and a longer declared payload, as edits of the
+    # frame at byte `at` of a stream at dimension d; the expected exit codes
+    # and messages were recorded from the whole-file reader
+    @staticmethod
+    def boundary_defects(d):
+        size, sq = 10 + 2 * d * d, d * d
+        basis = wire.frame(wire.matrix_message(wire.MSG_BASIS_INIT, MatrixFp.identity(d)))
+        y1 = MatrixFp.random_invertible(RandomSource.deterministic(7), d).array.tobytes()
+        return {
+            "truncated-last-frame": lambda s, at: s[: at + size - 1],
+            "partial-trailing-header": lambda s, at: s[: at + size] + s[12:17],
+            "payload-byte-251": lambda s, at: s[: at + 15] + b"\xfb" + s[at + 16 :],
+            "context-frame-mid-stream": lambda s, at: s[:at] + s[:12] + s[at:],
+            "basis-frame-mid-stream": lambda s, at: s[:at] + basis + s[at:],
+            "other-d-byte": lambda s, at: s[: at + 5] + bytes([24 - d]) + s[at + 6 :],
+            "singular-y1": lambda s, at: s[: at + 10] + bytes(sq) + s[at + 10 + sq :],
+            "random-y1": lambda s, at: s[: at + 10] + y1 + s[at + 10 + sq :],
+            "longer-declared-payload":
+                lambda s, at: s[: at + 6] + (2 * sq + 200).to_bytes(4, "big") + s[at + 10 :],
+        }
+
+    BOUNDARY = {
+        "truncated-last-frame": (cli.EXIT_CODEC, "declared payload of {payload} bytes is truncated"),
+        "partial-trailing-header": (cli.EXIT_CODEC, "truncated frame header"),
+        "payload-byte-251": (cli.EXIT_CODEC, "matrix payload byte out of range (must be < 251)"),
+        "context-frame-mid-stream": (cli.EXIT_CODEC, "not a cipher-block message"),
+        "basis-frame-mid-stream": (cli.EXIT_CODEC, "not a cipher-block message"),
+        "other-d-byte": (cli.EXIT_CODEC,
+                         "type 0x06 at d={other} requires {other_payload} payload bytes, got {payload}"),
+        "singular-y1": (cli.EXIT_PROTOCOL, "malformed ciphertext: y1: matrix {index} of the stack is singular"),
+        "random-y1": (cli.EXIT_PROTOCOL, "malformed ciphertext: y1: matrix {index} of the stack "
+                                         "is not a sandwich of the generator"),
+        # the last frame's longer payload runs past the end of the file
+        "longer-declared-payload": (cli.EXIT_CODEC,
+                                    "type 0x06 at d={d} requires {payload} payload bytes, got {longer}"),
+    }
+
+    @pytest.mark.parametrize("dim", cli.PROTOCOL_DIMS)
+    @pytest.mark.parametrize("where", ["last-of-chunk", "first-of-next", "last-frame"])
+    @pytest.mark.parametrize("defect", sorted(BOUNDARY))
+    def test_malformed_stream_at_chunk_boundary(self, capsys, tmp_path, dim, where, defect):
+        # the stream's frames fill two chunks and half a third
+        chunk, size = CHUNK[dim], 10 + 2 * dim * dim
+        total = 2 * chunk + chunk // 2
+        index = {"last-of-chunk": chunk - 1, "first-of-next": chunk, "last-frame": total - 1}[where]
+        resp, enc = self.encrypted_stream(tmp_path, dim, total)
+        enc.write_bytes(self.boundary_defects(dim)[defect](enc.read_bytes(), 12 + index * size))
+        code, message = self.BOUNDARY[defect]
+        if defect == "longer-declared-payload" and where == "last-frame":
+            message = "declared payload of {longer} bytes is truncated"
+        payload, other = 2 * dim * dim, 24 - dim
+        message = message.format(d=dim, payload=payload, longer=payload + 200, index=index,
+                                 other=other, other_payload=2 * other * other)
+        kind = "codec" if code == cli.EXIT_CODEC else "protocol"
+        assert self.decrypt_edited(capsys, resp, enc, []) == (code, f"geg: {kind} error: {message}\n")
+
+    @pytest.mark.parametrize("dim", cli.PROTOCOL_DIMS)
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s[12:], "not a context-params message"),
+        (lambda s: s[:6] + (300).to_bytes(4, "big") + s[10:],
+         "context-params payload must be exactly 2 bytes"),
+        (lambda s: s[:6] + (2**32 - 1).to_bytes(4, "big") + s[10:],
+         "declared payload of 4294967295 bytes is truncated"),
+    ], ids=["no-context-frame", "longer-context-payload", "context-payload-past-end"])
+    def test_malformed_context_frame(self, capsys, tmp_path, dim, edit, message):
+        resp, enc = self.encrypted_stream(tmp_path, dim, CHUNK[dim] + 3)
+        enc.write_bytes(edit(enc.read_bytes()))
+        assert self.decrypt_edited(capsys, resp, enc, []) == (cli.EXIT_CODEC,
+                                                              f"geg: codec error: {message}\n")
 
     @pytest.mark.parametrize("blocks, dim", [
         (blocks, dim) for dim in cli.PROTOCOL_DIMS for step in [protocol.BATCH_ENTRIES // dim**2]

@@ -144,21 +144,26 @@ def test_contexts_built_only_at_set_up_and_session_step():
 
 def test_cipher_owns_its_slice_rule():
     # the cipher's stacks are cut in protocol, where the temporaries that the
-    # rule bounds are made; the CLI hands each file's stack over whole
+    # rule bounds are made; the CLI streams a file in chunks of whole slices,
+    # whose length it takes from protocol, and never reads an input whole
     named = {path.name
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if getattr(node, "id", getattr(node, "attr", None)) == "BATCH_ENTRIES"}
     assert named == {"protocol.py"}
-    cipher = {"encrypt_blocks", "decrypt_blocks"}
-    calls = [(scope, name) for scope, name in _calls_by_scope(SRC / "cli.py")
-             if scope in ("run_encrypt", "run_decrypt") and name in cipher]
-    assert sorted(calls) == [("run_decrypt", "decrypt_blocks"), ("run_encrypt", "encrypt_blocks")]
-    tree = ast.parse((SRC / "cli.py").read_text())
-    loops = (ast.For, ast.While, ast.comprehension)
-    assert not [f"{fn.name}: {type(node).__name__}" for fn in tree.body
-                if isinstance(fn, ast.FunctionDef) and fn.name in ("run_encrypt", "run_decrypt")
-                for node in ast.walk(fn) if isinstance(node, loops)]
+    commands = ("run_encrypt", "run_decrypt")
+    calls = [(scope.split(".")[0], name) for scope, name in _calls_by_scope(SRC / "cli.py")
+             if scope.split(".")[0] in commands]
+    assert {scope for scope, name in calls if name == "slice_blocks"} == set(commands)
+    whole = {"read_bytes", "read_text", "readall", "readlines"}
+    assert [call for call in calls if call[1] in whole] == []
+    # a stream's read() with no size reads to its end
+    unbounded = [f"{path.name}:{node.lineno}"
+                 for path in (SRC / "cli.py", SRC / "wire.py")
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "read"
+                 and not node.args]
+    assert unbounded == []
 
 
 def test_one_basis_change_per_public_matrix():

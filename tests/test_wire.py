@@ -1,9 +1,11 @@
+import io
 import json
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geg import errors, wire
 from geg.errors import CodecError, CorruptBlockError, PaddingError
@@ -13,6 +15,82 @@ from geg.linalg import MatrixFp
 from oracles import loop_decode_plaintext, loop_encode_plaintext
 
 FIXTURES = Path(__file__).parent / "fixtures" / "wire_vectors.json"
+DERANDOMIZED = settings(derandomize=True, max_examples=200, database=None, deadline=None)
+
+
+def outcome(call):
+    """What `call()` returns, or the type and message of the CodecError it raises."""
+    try:
+        return call()
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def cut_stacks(draw):
+    """(d, raw, cuts): the bytes of a few whole blocks at dimension d, which
+    end in valid padding about half the time, and sorted block indices
+    inside the stack to cut it at."""
+    d = draw(st.sampled_from([4, 8, 16]))
+    cap, blocks = wire.block_capacity(d), draw(st.integers(1, 6))
+    raw = draw(st.binary(min_size=blocks * cap, max_size=blocks * cap))
+    if draw(st.booleans()):
+        pad = draw(st.integers(1, cap))
+        raw = raw[:-pad] + bytes([pad]) * pad
+    cuts = sorted(draw(st.sets(st.integers(1, blocks - 1), max_size=3)) if blocks > 1 else set())
+    return d, raw, cuts
+
+
+@st.composite
+def frame_bytes(draw):
+    """A frame of a known type at a small d, whose payload may have the wrong
+    length or bytes out of range, cut short or followed by more bytes."""
+    types = [wire.MSG_BASIS_INIT, wire.MSG_TOKEN_ACK, wire.MSG_CIPHER_BLOCK, wire.MSG_CONTEXT_PARAMS]
+    msg_type, d = draw(st.sampled_from(types)), draw(st.integers(2, 3))
+    fits = {wire.MSG_CIPHER_BLOCK: 2 * d * d, wire.MSG_CONTEXT_PARAMS: 2}.get(msg_type, d * d)
+    size = draw(st.sampled_from([fits, fits, draw(st.integers(0, 30))]))
+    payload = bytes(draw(st.lists(st.integers(0, 251), min_size=size, max_size=size)))
+    raw = wire.frame(wire.WireMessage(msg_type, d, payload))
+    end = draw(st.sampled_from([len(raw), draw(st.integers(0, len(raw)))]))
+    return raw[:end] + draw(st.binary(max_size=20))
+
+
+def frame_by_frame(stream: bytes, d: int) -> list[list]:
+    """The y1 and y2 lists of a cipher-block stream at d, parsed one frame at
+    a time by read_frame: the reference for read_cipher_chunks."""
+    blocks, offset = [[], []], 0
+    while offset < len(stream):
+        msg, offset = wire.read_frame(stream, offset)
+        if msg.d != d:
+            raise errors.FrameValueError(f"frame at d={msg.d} in a ciphertext stream at d={d}")
+        if msg.msg_type != wire.MSG_CIPHER_BLOCK:
+            raise errors.FrameTypeError("not a cipher-block message")
+        for half, part in zip(blocks, (msg.payload[: d * d], msg.payload[d * d :])):
+            half.append(np.frombuffer(part, np.uint8).reshape(d, d).tolist())
+    return blocks
+
+
+def pieces(items, cuts):
+    return [items[a:b] for a, b in zip([0, *cuts], [*cuts, len(items)])]
+
+
+@st.composite
+def cipher_streams(draw):
+    """(d, stream): the cipher-block frames of a few random blocks at d,
+    with a few bytes overwritten, cut out or put in."""
+    d = draw(st.sampled_from([2, 3]))
+    blocks = draw(st.integers(0, 5))
+    y1, y2 = (np.array(draw(st.lists(st.integers(0, 250), min_size=blocks * d * d,
+                                     max_size=blocks * d * d)), np.uint8).reshape(-1, d, d)
+              for _ in range(2))
+    stream = bytearray(wire.cipher_frames(y1, y2))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(stream)))
+        kind = draw(st.sampled_from(["overwrite", "delete", "insert", "frame"]))
+        new = {"delete": b"", "frame": draw(frame_bytes())}.get(kind) or draw(st.binary(min_size=1, max_size=12))
+        cut = {"overwrite": len(new), "delete": draw(st.integers(1, 12))}.get(kind, 0)
+        stream[at : at + cut] = new
+    return d, bytes(stream)
 
 
 class TestFraming:
@@ -145,6 +223,44 @@ class TestFraming:
     def test_context_message_modulus_out_of_range_refused(self, p):
         with pytest.raises(ValueError, match="modulus out of range"):
             wire.context_message(8, p)
+
+
+    @DERANDOMIZED
+    @given(st.binary(max_size=60), st.one_of(frame_bytes(), st.binary(max_size=300)))
+    def test_read_frame_from_reads_what_read_frame_reads(self, before, rest):
+        # the frame at a stream's position, read no further than its end
+        stream = io.BytesIO(before + rest)
+        stream.seek(len(before))
+        got = outcome(lambda: wire.read_frame_from(stream))
+        assert got == outcome(lambda: wire.read_frame(rest)[0])
+        if isinstance(got, wire.WireMessage):
+            assert stream.tell() == len(before) + wire.read_frame(rest)[1]
+
+    def test_read_frame_from_asks_no_more_than_the_stream_holds(self):
+        # a declared payload of 4 GiB is not a read of 4 GiB
+        class Recorded(io.BytesIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        raw = bytearray(wire.frame(wire.context_message(8, 251)))
+        raw[6:10] = (2**32 - 1).to_bytes(4, "big")  # the declared payload length
+        sizes = []
+        with pytest.raises(errors.FrameLengthError, match="4294967295 bytes is truncated"):
+            wire.read_frame_from(Recorded(bytes(raw)))
+        assert sizes == [wire.HEADER_LEN, 2]
+
+    @DERANDOMIZED
+    @given(cipher_streams(), st.integers(1, 4))
+    def test_cipher_chunks_read_what_read_frame_reads(self, case, count):
+        # a chunk's bad frame is read on to its declared end, past the chunk,
+        # so it raises what it raises when the stream is parsed frame by frame
+        d, stream = case
+        chunks = outcome(lambda: list(wire.read_cipher_chunks(io.BytesIO(stream), d, count)))
+        if isinstance(chunks, list):
+            assert all(len(y1) <= count for y1, _ in chunks)
+            chunks = [sum((y.tolist() for y in part), []) for part in zip(*chunks)] or [[], []]
+        assert chunks == outcome(lambda: frame_by_frame(stream, d))
 
 
 class TestFixtures:
@@ -325,3 +441,37 @@ class TestBlockCodec:
                 outcomes.add(bytes)
                 assert wire.decode_plaintext([MatrixFp(b, 251) for b in blocks]) == expected
         assert outcomes == {bytes, CorruptBlockError, PaddingError}
+
+    @DERANDOMIZED
+    @given(cut_stacks(), st.booleans())
+    def test_chunked_encode_joins_to_the_whole(self, case, short):
+        # the message's chunks, cut at whole blocks with only the last padded,
+        # encode to the stack of the whole; the last chunk may be short
+        d, raw, cuts = case
+        data = raw[: -1 - len(raw) // 3] if short else raw
+        cap = wire.block_capacity(d)
+        cuts = [cut for cut in cuts if cut * cap <= len(data)]
+        *body, last = pieces(data, [cut * cap for cut in cuts])
+        chunked = [wire.encode_plaintext(part, d, final=False) for part in body]
+        chunked.append(wire.encode_plaintext(last, d))
+        assert np.concatenate(chunked).tolist() == wire.encode_plaintext(data, d).tolist()
+
+    @DERANDOMIZED
+    @given(cut_stacks())
+    def test_chunked_decode_matches_the_whole(self, case):
+        # any stack of valid digit groups, its padding valid or not: every
+        # chunk but the last decodes to its bytes and raises no PaddingError,
+        # and the chunks join to what the whole stack decodes to or raises
+        d, raw, cuts = case
+        stack = wire.encode_plaintext(raw, d, final=False)
+        *body, last = pieces(stack, cuts)
+        decoded = [wire.decode_plaintext(part, final=False) for part in body]
+        assert decoded == [bytes(part) for part in pieces(raw, [cut * wire.block_capacity(d) for cut in cuts])[:-1]]
+        tail = outcome(lambda: wire.decode_plaintext(last))
+        whole = outcome(lambda: wire.decode_plaintext(stack))
+        assert (b"".join(decoded) + tail if isinstance(tail, bytes) else tail) == whole
+
+    def test_chunk_before_the_last_holds_whole_blocks(self):
+        with pytest.raises(ValueError, match="whole blocks of 56 bytes, not 57 bytes"):
+            wire.encode_plaintext(bytes(57), 8, final=False)
+        assert wire.encode_plaintext(b"", 8, final=False).shape == (0, 8, 8)
