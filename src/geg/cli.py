@@ -28,6 +28,7 @@ from .errors import (
     FrameMagicError,
     FrameValueError,
     GegError,
+    ProtocolError,
 )
 from .field import DEFAULT_PRIME, RandomSource
 from .linalg import MatrixFp
@@ -45,6 +46,7 @@ SESSION_OPEN_PHASE = 0x03  # the only persistable phase
 PRIVATE_MARKER = 0x90
 # magic | tag | d | p | role | phase | m | n, then the matrices and the private section
 _STATE_HEADER = struct.Struct(">4sBBHBBBB")
+_STATE_MAX = _STATE_HEADER.size + max(4 * d * d + 1 + d for d in PROTOCOL_DIMS)  # longest state file
 _ROLE_BYTES = {"initiator": 0x01, "responder": 0x02}
 _ROLE_NAMES = {v: k for k, v in _ROLE_BYTES.items()}
 
@@ -124,7 +126,8 @@ def _write_atomic(files: list[tuple[Path, Iterable[bytes]]]) -> None:
 
 
 def load_state(path: Path) -> Entity:
-    blob = path.read_bytes()
+    with path.open("rb") as stream:  # a longer file reads as _STATE_MAX + 1 bytes
+        blob = stream.read(_STATE_MAX + 1)
     if len(blob) < _STATE_HEADER.size or blob[:4] != wire.MAGIC:
         raise FrameMagicError(f"{path}: not a state file")
     _, tag, d, p, role_byte, phase, m, n = _STATE_HEADER.unpack_from(blob)
@@ -278,27 +281,28 @@ def run_encrypt(args) -> int:
 
 def run_decrypt(args) -> int:
     entity = _load_state_for(args)
-    size = 0
+    size = blocks = 0
 
-    def plaintext(chunks, blocks):
-        # a codec error waits until every block is decrypted: a refused y1 comes first
-        nonlocal size
-        done, failed = 0, None
-        for y1, y2 in chunks:
-            plains = entity.decrypt_blocks(y1, y2, first=done)
-            done += len(plains)
-            if failed is None:
-                try:
-                    data = wire.decode_plaintext(plains, final=done == blocks)
-                except CodecError as exc:
-                    failed = exc
-                else:
-                    size += len(data)
-                    yield data
-        if failed is not None:
-            raise failed
-        if done != blocks:
-            raise FrameLengthError("ciphertext stream changed while it was read")
+    def plaintext(stream, d):
+        # one pass: a bad frame raises where it is read, while the first
+        # refused y1, else the first codec error, is kept until the last frame
+        nonlocal size, blocks
+        kept = None
+        for y1, y2 in wire.read_cipher_chunks(stream, d, CHUNK_SLICES * protocol.slice_blocks(d)):
+            first, blocks = blocks, blocks + len(y1)
+            try:
+                if not isinstance(kept, ProtocolError):  # else the rest is only frame-checked
+                    plains = entity.decrypt_blocks(y1, y2, first=first)
+                    data = None if kept else wire.decode_plaintext(plains, final=not stream.peek(1))
+            except (ProtocolError, CodecError) as exc:
+                kept = exc
+            if kept is None:
+                size += len(data)
+                yield data
+        if not blocks:
+            raise FrameLengthError("ciphertext stream holds no cipher-block frames")
+        if kept is not None:
+            raise kept
 
     with open(args.input, "rb") as stream:
         if not stream.peek(1):
@@ -308,13 +312,7 @@ def run_decrypt(args) -> int:
             raise CodecError(
                 f"ciphertext parameters d={d}, p={p} do not match state d={entity.d}, p={entity.p}"
             )
-        start, step = stream.tell(), CHUNK_SLICES * protocol.slice_blocks(d)
-        # the file is read twice: every frame is checked before any block is decrypted
-        blocks = sum(len(y1) for y1, _ in wire.read_cipher_chunks(stream, d, step))
-        if not blocks:
-            raise FrameLengthError("ciphertext stream holds no cipher-block frames")
-        stream.seek(start)
-        _write_atomic([(Path(args.output), plaintext(wire.read_cipher_chunks(stream, d, step), blocks))])
+        _write_atomic([(Path(args.output), plaintext(stream, d))])
     print(f"decrypted {blocks} blocks into {size} bytes -> {args.output}")
     return EXIT_OK
 

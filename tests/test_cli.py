@@ -310,9 +310,9 @@ class TestFileCrypto:
 
     @pytest.mark.parametrize("dim", cli.PROTOCOL_DIMS)
     def test_every_frame_is_checked_before_any_block(self, capsys, tmp_path, dim):
-        # block 0's y1 is refused on its own (exit 5); a bad frame in the
-        # second chunk still wins, as the frames are checked over the whole
-        # file before any block is decrypted
+        # the exit codes keep their order over the whole file: block 0's y1
+        # is refused on its own (exit 5), and a bad frame in the second chunk
+        # still wins (exit 4), although it is read after that refusal
         chunk, size = CHUNK[dim], 10 + 2 * dim * dim
         resp, enc = self.encrypted_stream(tmp_path, dim, 2 * chunk + 3)
         y1 = (12 + 10, MatrixFp.random_invertible(RandomSource.deterministic(7), dim).array.tobytes())
@@ -387,9 +387,10 @@ class TestFileCrypto:
         assert [[size for called, size in seen if called == name] for name in names] == [
             [chunk, chunk, chunk // 2 + 1]] * 4
 
-    def test_decrypt_needs_an_input_it_can_read_twice(self, capsys, tmp_path):
+    def test_decrypt_needs_an_input_it_can_seek(self, capsys, tmp_path):
         # encrypt reads its input once, so a pipe will do; decrypt reads it
-        # twice, and a pipe is an i/o error that writes nothing
+        # once too, but the context-frame reader seeks to bound the frame's
+        # declared payload, and a pipe is an i/o error that writes nothing
         init, resp = self.exchange(capsys, tmp_path)
         src, enc, dst = tmp_path / "p.bin", tmp_path / "c.geg", tmp_path / "o.bin"
         src.write_bytes(random.Random(1).randbytes(3000))
@@ -411,20 +412,24 @@ class TestFileCrypto:
         assert (code, out) == (cli.EXIT_IO, "") and "Illegal seek" in err
         assert not dst.exists()
 
-    def test_stream_that_changes_between_the_passes_is_refused(self, capsys, tmp_path, monkeypatch):
-        # the second pass finds a chunk fewer than the first counted: no block
-        # reaches the padding check, and nothing is written
-        resp, enc = self.encrypted_stream(tmp_path, 8, 2 * CHUNK[8] + 3)
-        read, passes = wire.read_cipher_chunks, []
-
-        def shorter(*args):
-            passes.append(args)
-            chunks = list(read(*args))
-            return iter(chunks[:-1] if len(passes) == 2 else chunks)
-
-        monkeypatch.setattr(wire, "read_cipher_chunks", shorter)
-        assert self.decrypt_edited(capsys, resp, enc, []) == (
-            cli.EXIT_CODEC, "geg: codec error: ciphertext stream changed while it was read\n")
+    @pytest.mark.parametrize("dim", cli.PROTOCOL_DIMS)
+    def test_decrypt_reads_the_file_once(self, capsys, tmp_path, monkeypatch, dim):
+        # one pass over the cipher frames, for a clean file of two and a half
+        # chunks and for the files of test_every_frame_is_checked_before_any_block
+        chunk, size = CHUNK[dim], 10 + 2 * dim * dim
+        calls, read = [], wire.read_cipher_chunks
+        monkeypatch.setattr(wire, "read_cipher_chunks", lambda *args: calls.append(args) or read(*args))
+        resp, enc = self.encrypted_stream(tmp_path, dim, 2 * chunk + chunk // 2)
+        code, _, err = run(capsys, ["decrypt", "--state", str(resp), "--in", str(enc),
+                                    "--out", str(tmp_path / "o.bin")])
+        assert (code, err, len(calls)) == (cli.EXIT_OK, "", 1)
+        resp, enc = self.encrypted_stream(tmp_path, dim, 2 * chunk + 3)
+        y1 = (12 + 10, MatrixFp.random_invertible(RandomSource.deterministic(7), dim).array.tobytes())
+        byte_251 = (12 + (chunk + 3) * size + 15, b"\xfb")
+        for edits, code in (([y1], cli.EXIT_PROTOCOL), ([y1, byte_251], cli.EXIT_CODEC)):
+            calls.clear()
+            assert self.decrypt_edited(capsys, resp, enc, edits)[0] == code
+            assert len(calls) == 1
 
     # MALFORMED's defects, and a longer declared payload, as edits of the
     # frame at byte `at` of a stream at dimension d; the expected exit codes

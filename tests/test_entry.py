@@ -90,6 +90,37 @@ class TestModuleEntry:
         assert enc.stderr == "geg: protocol error: generator is singular\n"
         assert not (tmp_path / "cipher.geg").exists()
 
+    @pytest.mark.parametrize("state", ["/dev/zero", "long-tail"])
+    def test_endless_state_file_is_refused_unread(self, tmp_path, state):
+        # load_state reads no further than one byte past the largest state
+        # file; the child's address space is capped, so a reader that went
+        # on would end in a MemoryError, not exit 4
+        if state == "long-tail":  # a d=8 state file, then a sparse 4 GiB tail
+            assert geg_process("keyexchange", "--seed", "beef", "--state", "kx", cwd=tmp_path).returncode == 0
+            state = tmp_path / "kx.initiator"
+            os.truncate(state, 4 << 30)
+            message = f"geg: codec error: {state}: expected 277 bytes, found {cli._STATE_MAX + 1}\n"
+        elif not os.path.exists(state):
+            pytest.skip(f"no {state} on this platform")
+        else:
+            message = f"geg: codec error: {state}: not a state file\n"
+        (tmp_path / "plain.bin").write_bytes(b"hello")
+        limit = 1 << 30
+
+        def cap_memory():
+            import resource  # POSIX only, like the rlimit it sets
+
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        got = subprocess.run(
+            [sys.executable, "-m", "geg", "encrypt", "--state", str(state),
+             "--in", "plain.bin", "--out", "cipher.geg"],
+            env=child_env(), cwd=tmp_path, capture_output=True, text=True,
+            timeout=60, check=False, preexec_fn=cap_memory,
+        )
+        assert (got.returncode, got.stderr) == (cli.EXIT_CODEC, message)
+        assert not (tmp_path / "cipher.geg").exists()
+
     def test_zero_bench_iterations_is_usage_error(self, tmp_path):
         got = geg_process("bench", "--iterations", "0", cwd=tmp_path)
         assert got.returncode == cli.EXIT_USAGE
