@@ -30,7 +30,6 @@ to the pad length.
 from __future__ import annotations
 
 import io
-import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
@@ -51,6 +50,7 @@ from .linalg import MatrixFp
 MAGIC = b"GEG1"
 _HEADER = struct.Struct(">4sBBI")  # magic | type | d | payload length
 HEADER_LEN = _HEADER.size
+_PIECE = 1 << 16  # the most bytes read_frame_from asks a stream for at once
 
 MSG_BASIS_INIT = 0x01
 MSG_GENERATOR_INIT = 0x02
@@ -124,17 +124,16 @@ def read_frame(data: bytes, offset: int = 0) -> tuple[WireMessage, int]:
     return WireMessage(msg_type, d, payload), end
 
 
-def read_frame_from(stream: BinaryIO) -> WireMessage:
-    """The frame at the position of a seekable binary stream, read no further
-    than its declared end or the stream's: raises what read_frame raises on
-    the rest of the stream."""
-    start = stream.tell()
-    rest = stream.seek(0, os.SEEK_END) - start
-    stream.seek(start)
-    data = stream.read(HEADER_LEN)
-    if len(data) == HEADER_LEN:
-        data += stream.read(min(_HEADER.unpack(data)[3], rest - HEADER_LEN))
-    return read_frame(data)[0]
+def read_frame_from(stream: BinaryIO, head: bytes = b"") -> WireMessage:
+    """The frame that begins with `head` and goes on in a binary stream, read
+    in pieces of at most 64 KiB, no further than its declared end or the
+    stream's: raises what read_frame raises on head plus the rest of the stream."""
+    data = bytearray(head)
+    while True:
+        end = HEADER_LEN + (_HEADER.unpack_from(data)[3] if len(data) >= HEADER_LEN else 0)
+        if len(data) >= end or not (piece := stream.read(min(end - len(data), _PIECE))):
+            return read_frame(data)[0]
+        data += piece
 
 
 def parse(data: bytes) -> WireMessage:
@@ -201,14 +200,14 @@ def cipher_frames(y1: np.ndarray, y2: np.ndarray) -> bytes:
 
 def read_cipher_chunks(stream: BinaryIO, d: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The (y1, y2) stacks of the cipher-block frames at dimension d that fill
-    the rest of a seekable binary stream, `count` frames at a time, as
-    read-only views of the chunk read.
+    the rest of a binary stream, `count` frames at a time, as read-only views
+    of the chunk read.
 
     Every header and every payload byte of a chunk is checked in one pass.
-    The first frame that fails is read again by read_frame_from, to its
-    declared end, so each defect raises the error it raises frame by frame:
-    a framing error, a FrameValueError for a frame at another d, or a
-    FrameTypeError.
+    The first frame that fails is read on by read_frame_from, from its bytes
+    in the chunk to its declared end, so each defect raises the error it
+    raises frame by frame: a framing error, a FrameValueError for a frame at
+    another d, or a FrameTypeError.
     """
     size, half = HEADER_LEN + 2 * d * d, HEADER_LEN + d * d
     header = np.frombuffer(_cipher_header(d), dtype=np.uint8)
@@ -220,8 +219,7 @@ def read_cipher_chunks(stream: BinaryIO, d: int, count: int) -> Iterator[tuple[n
         if len(chunk) % size or not headers.all() or frames[:, HEADER_LEN:].max(initial=0) >= DEFAULT_PRIME:
             good = headers.all(axis=1) & (frames[:, HEADER_LEN:].max(axis=1, initial=0) < DEFAULT_PRIME)
             bad = np.flatnonzero(~good)
-            stream.seek(size * (int(bad[0]) if bad.size else len(frames)) - len(chunk), os.SEEK_CUR)
-            msg = read_frame_from(stream)
+            msg = read_frame_from(stream, chunk[size * (int(bad[0]) if bad.size else len(frames)):])
             if msg.d != d:
                 raise FrameValueError(f"frame at d={msg.d} in a ciphertext stream at d={d}")
             raise FrameTypeError("not a cipher-block message")

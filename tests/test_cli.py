@@ -6,6 +6,8 @@ import itertools
 import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from geg.linalg import MatrixFp
 from geg.protocol import start_session
 
 from oracles import loop_encode_plaintext, reference_encrypt
+from test_entry import child_env
 
 
 def run(capsys, argv):
@@ -387,30 +390,39 @@ class TestFileCrypto:
         assert [[size for called, size in seen if called == name] for name in names] == [
             [chunk, chunk, chunk // 2 + 1]] * 4
 
-    def test_decrypt_needs_an_input_it_can_seek(self, capsys, tmp_path):
-        # encrypt reads its input once, so a pipe will do; decrypt reads it
-        # once too, but the context-frame reader seeks to bound the frame's
-        # declared payload, and a pipe is an i/o error that writes nothing
-        init, resp = self.exchange(capsys, tmp_path)
-        src, enc, dst = tmp_path / "p.bin", tmp_path / "c.geg", tmp_path / "o.bin"
-        src.write_bytes(random.Random(1).randbytes(3000))
+    @pytest.mark.parametrize("dim", cli.PROTOCOL_DIMS)
+    def test_decrypt_reads_a_pipe(self, tmp_path, dim):
+        # a stream of two and a half chunks fills more than one pipe buffer,
+        # so a child decrypt reads it in pieces; from a pipe it writes what
+        # it writes from the file, clean or with a bad frame that opens the
+        # second chunk and declares a longer payload
+        chunk, size = CHUNK[dim], 10 + 2 * dim * dim
+        total = 2 * chunk + chunk // 2
+        resp, enc = self.encrypted_stream(tmp_path, dim, total)
+        clean = enc.read_bytes()
+        bad = self.boundary_defects(dim)["longer-declared-payload"](clean, 12 + chunk * size)
+        dst = tmp_path / "o.bin"
 
-        def piped(data, argv):
-            read, write = os.pipe()
-            os.write(write, data)  # within one pipe buffer
-            os.close(write)
-            try:
-                return run(capsys, [*argv, "--in", f"/dev/fd/{read}"])
-            finally:
-                os.close(read)
+        def decrypt(stream, source):
+            enc.write_bytes(stream)
+            got = subprocess.run(
+                [sys.executable, "-m", "geg", "decrypt", "--state", resp.name, "--in", source,
+                 "--out", dst.name],
+                input=stream if source == "/dev/stdin" else None, env=child_env(), cwd=tmp_path,
+                capture_output=True, timeout=120, check=False)
+            plain = dst.read_bytes() if dst.exists() else None
+            dst.unlink(missing_ok=True)
+            return got.returncode, got.stdout, got.stderr, plain
 
-        argv = ["encrypt", "--state", str(init), "--seed", "11", "--out"]
-        assert piped(src.read_bytes(), [*argv, str(enc)])[0] == cli.EXIT_OK
-        assert run(capsys, [*argv, str(tmp_path / "f.geg"), "--in", str(src)])[0] == cli.EXIT_OK
-        assert enc.read_bytes() == (tmp_path / "f.geg").read_bytes()
-        code, out, err = piped(enc.read_bytes(), ["decrypt", "--state", str(resp), "--out", str(dst)])
-        assert (code, out) == (cli.EXIT_IO, "") and "Illegal seek" in err
-        assert not dst.exists()
+        piped = decrypt(clean, "/dev/stdin")
+        assert piped == decrypt(clean, enc.name)
+        data = random.Random(total).randbytes(total * wire.block_capacity(dim) - 1)
+        assert piped == (cli.EXIT_OK, f"decrypted {total} blocks into {len(data)} bytes -> o.bin\n".encode(),
+                         b"", data)
+        message = f"geg: codec error: type 0x06 at d={dim} requires {2 * dim * dim} payload bytes, " \
+                  f"got {2 * dim * dim + 200}\n"
+        assert decrypt(bad, "/dev/stdin") == decrypt(bad, enc.name) == (
+            cli.EXIT_CODEC, b"", message.encode(), None)
 
     @pytest.mark.parametrize("dim", cli.PROTOCOL_DIMS)
     def test_decrypt_reads_the_file_once(self, capsys, tmp_path, monkeypatch, dim):

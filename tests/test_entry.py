@@ -40,6 +40,21 @@ def geg_process(*args: str, cwd: Path) -> subprocess.CompletedProcess:
     return python("-m", "geg", *args, cwd=cwd)
 
 
+def cap_memory():
+    import resource  # POSIX only, like the rlimit it sets
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def capped_geg(*args: str, cwd: Path, stdin: bytes | None = None) -> subprocess.CompletedProcess:
+    """`python -m geg` in a child whose address space is capped at 1 GiB, so
+    a reader that does not stop ends in a MemoryError."""
+    return subprocess.run(
+        [sys.executable, "-m", "geg", *args], input=stdin, env=child_env(), cwd=cwd,
+        capture_output=True, timeout=60, check=False, preexec_fn=cap_memory,
+    )
+
+
 class TestModuleEntry:
     def encrypted(self, tmp_path: Path, data: bytes) -> Path:
         assert geg_process("keyexchange", "--seed", "beef", "--state", "kx", cwd=tmp_path).returncode == 0
@@ -105,21 +120,23 @@ class TestModuleEntry:
         else:
             message = f"geg: codec error: {state}: not a state file\n"
         (tmp_path / "plain.bin").write_bytes(b"hello")
-        limit = 1 << 30
-
-        def cap_memory():
-            import resource  # POSIX only, like the rlimit it sets
-
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        got = subprocess.run(
-            [sys.executable, "-m", "geg", "encrypt", "--state", str(state),
-             "--in", "plain.bin", "--out", "cipher.geg"],
-            env=child_env(), cwd=tmp_path, capture_output=True, text=True,
-            timeout=60, check=False, preexec_fn=cap_memory,
-        )
-        assert (got.returncode, got.stderr) == (cli.EXIT_CODEC, message)
+        got = capped_geg("encrypt", "--state", str(state), "--in", "plain.bin", "--out", "cipher.geg",
+                         cwd=tmp_path)
+        assert (got.returncode, got.stderr) == (cli.EXIT_CODEC, message.encode())
         assert not (tmp_path / "cipher.geg").exists()
+
+    @pytest.mark.parametrize("at", [0, 12], ids=["context-frame", "cipher-frame"])
+    def test_endless_declared_payload_is_read_to_the_pipe_end(self, tmp_path, at):
+        # a frame that declares 2**32 - 1 payload bytes, piped in: the reader
+        # asks for the payload a piece at a time up to the end of the pipe,
+        # so the capped child exits 4 rather than run out of memory
+        stream = bytearray(self.encrypted(tmp_path, b"hello" * 200).read_bytes())
+        stream[at + 6 : at + 10] = (2**32 - 1).to_bytes(4, "big")  # the declared payload length
+        got = capped_geg("decrypt", "--state", "kx.responder", "--in", "/dev/stdin", "--out", "plain.out",
+                         cwd=tmp_path, stdin=bytes(stream))
+        message = b"geg: codec error: declared payload of 4294967295 bytes is truncated\n"
+        assert (got.returncode, got.stdout, got.stderr) == (cli.EXIT_CODEC, b"", message)
+        assert not (tmp_path / "plain.out").exists()
 
     def test_zero_bench_iterations_is_usage_error(self, tmp_path):
         got = geg_process("bench", "--iterations", "0", cwd=tmp_path)

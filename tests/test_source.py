@@ -166,6 +166,20 @@ def test_cipher_owns_its_slice_rule():
     assert unbounded == []
 
 
+def test_frames_are_read_without_seeking():
+    # decrypt reads a pipe as it reads a file: a frame is bounded by its
+    # declared end and the stream's, found by reading on, not by a seek
+    seeks = [f"{path.name}:{node.lineno}"
+             for path in (SRC / "cli.py", SRC / "wire.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in {"seek", "tell"}]
+    assert seeks == []
+    tree = ast.parse((SRC / "wire.py").read_text())
+    imported = {alias.name for node in tree.body if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
+    assert "os" not in imported
+
+
 def test_one_basis_change_per_public_matrix():
     # a public matrix enters the eigenbasis when a context is built (G and
     # G^-1) or when a received matrix is read; compose builds from the

@@ -55,6 +55,25 @@ def frame_bytes(draw):
     return raw[:end] + draw(st.binary(max_size=20))
 
 
+class Pipe:
+    """A binary stream of `data` that, like a pipe, cannot seek or tell."""
+
+    def __init__(self, data: bytes):
+        self.buffer = io.BytesIO(data)
+
+    def read(self, size=-1):
+        return self.buffer.read(size)
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
 def frame_by_frame(stream: bytes, d: int) -> list[list]:
     """The y1 and y2 lists of a cipher-block stream at d, parsed one frame at
     a time by read_frame: the reference for read_cipher_chunks."""
@@ -226,37 +245,40 @@ class TestFraming:
 
 
     @DERANDOMIZED
-    @given(st.binary(max_size=60), st.one_of(frame_bytes(), st.binary(max_size=300)))
-    def test_read_frame_from_reads_what_read_frame_reads(self, before, rest):
-        # the frame at a stream's position, read no further than its end
-        stream = io.BytesIO(before + rest)
-        stream.seek(len(before))
-        got = outcome(lambda: wire.read_frame_from(stream))
-        assert got == outcome(lambda: wire.read_frame(rest)[0])
+    @given(st.one_of(frame_bytes(), st.binary(max_size=300)), st.integers(0, 320))
+    def test_read_frame_from_reads_what_read_frame_reads(self, raw, cut):
+        # the frame that begins with raw[:cut] and goes on in a stream that
+        # cannot seek, read no further than its declared end
+        stream = Pipe(raw[cut:])
+        got = outcome(lambda: wire.read_frame_from(stream, raw[:cut]))
+        assert got == outcome(lambda: wire.read_frame(raw)[0])
         if isinstance(got, wire.WireMessage):
-            assert stream.tell() == len(before) + wire.read_frame(rest)[1]
+            assert stream.buffer.tell() == max(wire.read_frame(raw)[1] - cut, 0)
 
-    def test_read_frame_from_asks_no_more_than_the_stream_holds(self):
-        # a declared payload of 4 GiB is not a read of 4 GiB
-        class Recorded(io.BytesIO):
+    def test_read_frame_from_asks_a_piece_at_a_time(self):
+        # a declared payload of 4 GiB is not a read of 4 GiB: the payload is
+        # asked for a piece at a time, up to the end of the stream
+        class Recorded(Pipe):
             def read(self, size=-1):
                 sizes.append(size)
                 return super().read(size)
 
         raw = bytearray(wire.frame(wire.context_message(8, 251)))
         raw[6:10] = (2**32 - 1).to_bytes(4, "big")  # the declared payload length
-        sizes = []
+        stream, sizes = Recorded(bytes(raw) + bytes(3 * wire._PIECE)), []
         with pytest.raises(errors.FrameLengthError, match="4294967295 bytes is truncated"):
-            wire.read_frame_from(Recorded(bytes(raw)))
-        assert sizes == [wire.HEADER_LEN, 2]
+            wire.read_frame_from(stream)
+        assert sizes[0] == wire.HEADER_LEN and max(sizes) == wire._PIECE
+        assert stream.buffer.tell() == len(raw) + 3 * wire._PIECE
 
     @DERANDOMIZED
     @given(cipher_streams(), st.integers(1, 4))
     def test_cipher_chunks_read_what_read_frame_reads(self, case, count):
-        # a chunk's bad frame is read on to its declared end, past the chunk,
-        # so it raises what it raises when the stream is parsed frame by frame
+        # a chunk's bad frame is read on to its declared end, past the chunk
+        # and without a seek, so it raises what it raises when the stream is
+        # parsed frame by frame
         d, stream = case
-        chunks = outcome(lambda: list(wire.read_cipher_chunks(io.BytesIO(stream), d, count)))
+        chunks = outcome(lambda: list(wire.read_cipher_chunks(Pipe(stream), d, count)))
         if isinstance(chunks, list):
             assert all(len(y1) <= count for y1, _ in chunks)
             chunks = [sum((y.tolist() for y in part), []) for part in zip(*chunks)] or [[], []]
